@@ -95,7 +95,7 @@ void BM_SeedSweep(benchmark::State& state) {
   sweep.num_seeds = 8;
   sweep.jobs = jobs;
   for (auto _ : state) {
-    const auto result = parallel::SeedSweep(sweep).run(task);
+    const auto result = parallel::sweep_seeds(sweep, task);
     if (result.seeds_failed != 0) state.SkipWithError("seed failed");
     benchmark::DoNotOptimize(result.total);
   }

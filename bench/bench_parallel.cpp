@@ -55,7 +55,7 @@ void run_seed_sweep_table(bool smoke) {
     sweep_config.num_seeds = num_seeds;
     sweep_config.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto result = parallel::SeedSweep(sweep_config).run(task);
+    const auto result = parallel::sweep_seeds(sweep_config, task);
     const double wall = seconds_since(t0);
     if (jobs == 1) base = wall;
     std::printf("%6zu  %10.3f  %12.0f  %7.2fx%s\n", jobs, wall,

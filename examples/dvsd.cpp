@@ -55,14 +55,11 @@ int run_daemon(const char* config_path) {
   daemon::Daemon d(config);
   bool recovered = false;
   std::string groups;
-  if (config.shards > 0) {
-    for (const auto& col : d.columns()) {
-      recovered = recovered || col->runtime->recovered();
-      groups += (groups.empty() ? " groups g" : ",g") +
-                std::to_string(col->group);
-    }
-  } else {
-    recovered = d.runtime().recovered();
+  for (const auto& col : d.columns()) {
+    recovered = recovered || col->runtime->recovered();
+    if (col->group == 0) continue;  // the unsharded node's single column
+    groups += (groups.empty() ? " groups g" : ",g") +
+              std::to_string(col->group);
   }
   std::fprintf(stderr, "dvsd %s: udp port %u, control port %u%s%s\n",
                config.node.to_string().c_str(),

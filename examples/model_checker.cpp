@@ -37,10 +37,11 @@
 // crashes (volatile state wiped, node rebuilt from its journal) — the
 // oracles keep checking across every restart.
 // --shards K multiplexes K independent DVS/TO shard columns over ONE
-// shared pool and network (src/shard) and chaos-sweeps the whole sharded
-// cluster with every shard's conformance oracle attached — a violation
-// names its shard. --replication r bounds each shard to r round-robin
-// replicas (0 = every pool member hosts every shard).
+// shared pool and network (src/shard; without it K=1, the unsharded stack)
+// and chaos-sweeps the whole cluster with every shard's conformance oracle
+// attached — a violation names its shard; every other --chaos flag applies
+// at any K. --replication r bounds each shard to r round-robin replicas
+// (0 = every pool member hosts every shard).
 // --scenario runs a declarative .scn workload/topology/fault scenario
 // (src/workload) over its seed range with the conformance oracle and span
 // invariants always on, and prints the SLO report as pure JSON on stdout —
@@ -55,13 +56,12 @@
 // Exit code 0 = no violation found (or, under --erratum, the expected
 // violation was found). On failure, the counterexample's seed, replayable
 // fault plan and action/trace tail are printed for deterministic replay.
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/audit.h"
@@ -71,7 +71,6 @@
 #include "explorer/to_explorer.h"
 #include "parallel/seed_sweep.h"
 #include "parallel/thread_pool.h"
-#include "tosys/chaos.h"
 #include "workload/runner.h"
 #include "workload/scenario.h"
 
@@ -119,18 +118,18 @@ int run_sweep(std::size_t n, std::size_t steps, std::uint64_t seeds,
   sweep_config.first_seed = 1;
   sweep_config.num_seeds = seeds;
   sweep_config.jobs = jobs;
-  const parallel::SeedSweep sweep(sweep_config);
 
   // One task runs BOTH stacks for its seed, mirroring the sequential
   // mode's per-seed work (TO-IMPL uses the same decorrelated seed).
   const auto dvs_task = parallel::dvs_impl_task(universe, v0, config);
   const auto to_task = parallel::to_impl_task(universe, v0, config);
   const parallel::SeedSweepResult result =
-      sweep.run([&](std::uint64_t seed) {
-        explorer::ExplorationStats stats = dvs_task(seed);
-        stats += to_task(seed ^ 0x5eed);
-        return stats;
-      });
+      parallel::sweep_seeds<explorer::ExplorationStats>(
+          sweep_config, [&](std::uint64_t seed) {
+            explorer::ExplorationStats stats = dvs_task(seed);
+            stats += to_task(seed ^ 0x5eed);
+            return stats;
+          });
 
   if (result.first_failure.has_value()) {
     std::printf("COUNTEREXAMPLE FOUND (lowest failing seed %llu of %zu "
@@ -149,10 +148,13 @@ int run_sweep(std::size_t n, std::size_t steps, std::uint64_t seeds,
   return 0;
 }
 
-int run_chaos(std::size_t n, std::uint64_t seeds, std::size_t jobs,
-              bool smoke, bool erratum, bool metrics, bool batch,
-              bool restart) {
-  tosys::ChaosConfig chaos;
+int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
+              std::uint64_t seeds, std::size_t jobs, bool smoke, bool erratum,
+              bool metrics, bool batch, bool restart) {
+  shard::ShardChaosConfig config;
+  config.shards = shards;
+  config.replication = replication;
+  tosys::ChaosConfig& chaos = config.chaos;
   chaos.n_processes = n;
   chaos.batching = batch;
   chaos.to_options.printed_figure_mode = erratum;
@@ -183,7 +185,7 @@ int run_chaos(std::size_t n, std::uint64_t seeds, std::size_t jobs,
   sweep.num_seeds = seeds;
   sweep.jobs = jobs;
   const parallel::ChaosSweepResult result =
-      parallel::run_chaos_sweep(sweep, chaos);
+      parallel::run_chaos_sweep(sweep, config);
 
   if (erratum) {
     // Self-test: with the Figure 5 errata re-injected, a clean sweep means
@@ -220,13 +222,19 @@ int run_chaos(std::size_t n, std::uint64_t seeds, std::size_t jobs,
     return 0;
   }
   const tosys::ChaosStats& t = result.total;
+  // The shard topology is named only when the sweep is actually sharded.
+  std::string topology;
+  if (shards > 1 || replication != 0) {
+    topology = " K=" + std::to_string(shards) + " r=" +
+               (replication == 0 ? "all" : std::to_string(replication));
+  }
   std::printf(
-      "chaos-swept %zu seeds at n=%zu: %llu oracle events, %llu invariant "
+      "chaos-swept %zu seeds at n=%zu%s: %llu oracle events, %llu invariant "
       "checks, %llu views, %llu broadcasts, %llu TO deliveries, %llu "
       "scripted faults; injected %llu dups / %llu reorders / %llu "
       "truncations (%llu decode errors, %llu dups suppressed) — zero "
       "violations.\n",
-      result.seeds_run, n,
+      result.seeds_run, n, topology.c_str(),
       static_cast<unsigned long long>(t.events_checked),
       static_cast<unsigned long long>(t.invariant_checks),
       static_cast<unsigned long long>(t.views_installed),
@@ -257,78 +265,6 @@ int run_chaos(std::size_t n, std::uint64_t seeds, std::size_t jobs,
   return 0;
 }
 
-int run_shard_chaos(std::size_t n, std::size_t shards, std::size_t replication,
-                    std::uint64_t seeds, std::size_t jobs, bool smoke) {
-  shard::ShardChaosConfig config;
-  config.shards = shards;
-  config.replication = replication;
-  config.chaos.n_processes = n;
-  if (smoke) {
-    config.chaos.plan.horizon = 2 * sim::kSecond;
-    config.chaos.plan.events = 8;
-    config.chaos.broadcasts = 30;
-    config.chaos.settle = 2 * sim::kSecond;
-  }
-
-  // Seed-indexed results → deterministic aggregation at any --jobs.
-  std::vector<shard::ShardChaosResult> results(seeds);
-  std::atomic<std::uint64_t> next{0};
-  const std::size_t workers = parallel::resolve_jobs(jobs);
-  const auto worker = [&] {
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1);
-      if (i >= seeds) return;
-      results[i] = shard::run_shard_chaos_seed(1 + i, config);
-    }
-  };
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    for (std::size_t j = 0; j < workers; ++j) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  std::uint64_t failed = 0;
-  const shard::ShardChaosResult* first_failure = nullptr;
-  tosys::ChaosStats total;
-  for (const shard::ShardChaosResult& r : results) {
-    if (!r.ok) {
-      ++failed;
-      if (first_failure == nullptr) first_failure = &r;
-    }
-    total.events_checked += r.stats.events_checked;
-    total.invariant_checks += r.stats.invariant_checks;
-    total.views_installed += r.stats.views_installed;
-    total.broadcasts += r.stats.broadcasts;
-    total.deliveries += r.stats.deliveries;
-    total.fault_events += r.stats.fault_events;
-  }
-  if (first_failure != nullptr) {
-    std::printf("COUNTEREXAMPLE FOUND (%llu of %llu seeds failing):\n%s\n"
-                "replayable fault plan:\n%s\n",
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(seeds),
-                first_failure->failure.c_str(),
-                first_failure->plan_text.c_str());
-    return 1;
-  }
-  const std::string r_text =
-      replication == 0 ? "all" : std::to_string(replication);
-  std::printf(
-      "sharded chaos-swept %llu seeds at n=%zu K=%zu r=%s: %llu oracle "
-      "events, %llu invariant checks, %llu views, %llu broadcasts, %llu TO "
-      "deliveries, %llu scripted faults — every shard's oracle clean.\n",
-      static_cast<unsigned long long>(seeds), n, shards, r_text.c_str(),
-      static_cast<unsigned long long>(total.events_checked),
-      static_cast<unsigned long long>(total.invariant_checks),
-      static_cast<unsigned long long>(total.views_installed),
-      static_cast<unsigned long long>(total.broadcasts),
-      static_cast<unsigned long long>(total.deliveries),
-      static_cast<unsigned long long>(total.fault_events));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -344,7 +280,7 @@ int main(int argc, char** argv) {
   bool metrics = false;
   bool batch = false;
   bool restart = false;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   std::size_t replication = 0;
   std::vector<char*> args;
   for (int i = 1; i < argc; ++i) {
@@ -352,7 +288,7 @@ int main(int argc, char** argv) {
       jobs = std::strtoul(argv[++i], nullptr, 10);
       sweep_mode = true;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoul(argv[++i], nullptr, 10);
+      shards = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--replication") == 0 && i + 1 < argc) {
       replication = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--audit") == 0 && i + 1 < argc) {
@@ -415,11 +351,8 @@ int main(int argc, char** argv) {
       const std::uint64_t seeds =
           args.size() > 1 ? std::strtoull(args[1], nullptr, 10)
                           : (smoke ? 25 : (erratum ? 60 : 500));
-      if (shards > 0) {
-        return run_shard_chaos(n, shards, replication, seeds, jobs, smoke);
-      }
-      return run_chaos(n, seeds, jobs, smoke, erratum, metrics, batch,
-                       restart);
+      return run_chaos(n, shards, replication, seeds, jobs, smoke, erratum,
+                       metrics, batch, restart);
     }
     if (!args.empty() && std::strcmp(args[0], "--exhaustive") == 0) {
       const std::size_t n_ex =

@@ -14,6 +14,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "shard/shard_cluster.h"
+
 namespace dvs::daemon {
 
 namespace {
@@ -25,12 +27,6 @@ constexpr sim::Time kJoinRetryPeriod = 500 * sim::kMillisecond;
 /// Snapshot chunk ceiling: comfortably under the default max_datagram with
 /// room for the transfer header.
 constexpr std::size_t kTransferChunk = 32 * 1024;
-
-Bytes load_or_empty(const storage::StableStore& store,
-                    const std::string& key) {
-  std::optional<Bytes> v = store.load(key);
-  return v.has_value() ? std::move(*v) : Bytes{};
-}
 
 /// assignments := varuint count | (varuint group, varuint r, process_id*r)*
 Bytes encode_assignments(const std::vector<shard::ShardAssignment>& as) {
@@ -113,16 +109,6 @@ class Daemon::PoolTransport : public net::Transport {
 
 Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   config_.validate();
-  const bool sharded = config_.shards > 0;
-  if (!sharded && !config_.wal_dir.empty()) {
-    store_ = std::make_unique<storage::FileStableStore>(config_.wal_dir);
-  }
-  if (!sharded && !config_.trace_dir.empty()) {
-    sink_ = std::make_unique<TraceSink>(
-        TraceSink::path_for(config_.trace_dir, config_.node),
-        TraceMeta{realtime_us(), config_.n, config_.initial_members(),
-                  config_.node});
-  }
   const net::UdpEndpoint& self_ep = config_.peers.at(config_.node);
   net::UdpConfig udp;
   udp.self = config_.node;
@@ -165,29 +151,22 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
                              std::strerror(err));
   }
 
-  if (sharded) {
-    build_columns();
-  } else {
-    RuntimeOptions options;
-    options.vs = config_.vs_config();
-    runtime_ = std::make_unique<NodeRuntime>(
-        config_.node, config_.n, config_.initial_members(), *transport_, sim_,
-        options, store_.get(), sink_.get(), &realtime_us);
-    runtime_->bind_metrics(metrics_);
-  }
+  build_columns();
   transport_->bind_metrics(metrics_);
   t0_ns_ = monotonic_ns();
 }
 
 void Daemon::build_columns() {
+  if (config_.shards == 0) {
+    open_column(shard::ShardAssignment{}, 0);
+    return;
+  }
   // One column per shard whose provisioned replica set contains this node.
   // All columns share the one UDP socket: GroupMux prefixes every datagram
   // with the vsys::GroupFrame header and demuxes on receive.
   mux_ = std::make_unique<shard::GroupMux>(*transport_);
   assignments_ = shard::provision(make_universe(config_.n), config_.shards,
                                   config_.replication);
-  // group -> (adopted slot, handoff cursor) recovered from commit markers.
-  std::map<std::uint32_t, std::pair<ProcessId, std::uint64_t>> rolled;
   if (config_.dynamic) {
     pool_store_ =
         std::make_unique<storage::FileStableStore>(config_.wal_dir + "/pool");
@@ -202,29 +181,30 @@ void Daemon::build_columns() {
     if (stored.has_value() && !stored->empty()) {
       assignments_ = decode_assignments(*stored);
     }
-    // Roll-forward sweep, mirroring ShardCluster::recover_migrations: a
-    // nonempty commit marker means the transferred journals were complete
-    // when we crashed — adopt the slot (idempotently) instead of repeating
-    // the transfer. The marker is only cleared after the column opens.
-    for (shard::ShardAssignment& a : assignments_) {
-      const std::string root =
-          config_.wal_dir + "/g" + std::to_string(a.group);
-      std::error_code ec;
-      if (!std::filesystem::is_directory(root, ec)) continue;
-      storage::FileStableStore gstore(root);
+  }
+  for (shard::ShardAssignment& a : assignments_) {
+    // Roll-forward (shard::recover_episode): an episode that crashed after
+    // its commit marker finishes here — journals installed, the slot
+    // adopted durably, the column opened with its HANDOFF — and only then
+    // is the marker cleared, so a crash anywhere in between re-runs it.
+    std::error_code ec;
+    if (config_.dynamic &&
+        std::filesystem::is_directory(column_wal_dir(a.group), ec)) {
+      storage::FileStableStore gstore(column_wal_dir(a.group));
       for (std::size_t i = 0; i < a.replicas.size(); ++i) {
-        const ProcessId slot(static_cast<std::uint32_t>(i));
-        const std::optional<Bytes> meta =
-            gstore.load(shard::transfer_stage_key(slot, "meta"));
-        if (!meta.has_value() || meta->empty()) continue;
-        Reader r(*meta);
-        const std::uint64_t next = r.varuint();
-        r.expect_exhausted();
-        a.replicas[i] = config_.node;
-        rolled[a.group] = {slot, next};
+        shard::EpisodeHooks hooks;
+        hooks.cutover = [this, &a, i](const shard::MigrationMarker& m) {
+          a.replicas[i] = m.to;
+          persist_assignments();
+          open_column(a, m.next);
+        };
+        (void)shard::recover_episode(
+            gstore, ProcessId(static_cast<std::uint32_t>(i)), hooks);
       }
     }
-    if (!rolled.empty()) persist_assignments();
+    const bool hosted = std::find(a.replicas.begin(), a.replicas.end(),
+                                  config_.node) != a.replicas.end();
+    if (hosted && column_for(a.group) == nullptr) open_column(a, 0);
   }
   router_ = shard::ShardRouter(config_.shards);
   router_.set_assignments(assignments_);
@@ -232,18 +212,6 @@ void Daemon::build_columns() {
   // membership group it is refreshed from every live view installed
   // (apply_pool_view), so clients chase replicas that actually answer.
   router_.set_pool_view(make_universe(config_.n));
-  for (const shard::ShardAssignment& a : assignments_) {
-    if (!router_.hosts(a.group, config_.node)) continue;
-    const auto it = rolled.find(a.group);
-    open_column(a, it == rolled.end() ? 0 : it->second.second);
-  }
-  // Markers clear only after their columns opened: a crash anywhere above
-  // re-runs the (idempotent) roll-forward.
-  for (const auto& [group, h] : rolled) {
-    storage::FileStableStore gstore(config_.wal_dir + "/g" +
-                                    std::to_string(group));
-    gstore.replace(shard::transfer_stage_key(h.first, "meta"), Bytes{});
-  }
   if (config_.dynamic) {
     mux_->set_transfer_handler(
         config_.node, [this](ProcessId from, const shard::TransferFrame& f) {
@@ -253,34 +221,45 @@ void Daemon::build_columns() {
   }
 }
 
+std::string Daemon::column_wal_dir(std::uint32_t group) const {
+  // Shard-local ids repeat across groups, so each shard column gets its own
+  // journal namespace; the unsharded node journals at the root.
+  if (group == 0) return config_.wal_dir;
+  return config_.wal_dir + "/g" + std::to_string(group);
+}
+
 Daemon::Column& Daemon::open_column(const shard::ShardAssignment& a,
                                     std::uint64_t handoff_next) {
   auto col = std::make_unique<Column>();
   col->group = a.group;
-  col->port = &mux_->open(a.group, a.replicas);
-  col->local = col->port->to_local(config_.node);
-  const std::size_t r = a.replicas.size();
+  ProcessId local = config_.node;
+  net::Transport* net = transport_.get();
+  std::size_t n = config_.n;
+  std::size_t initial = config_.initial_members();
+  if (a.group != 0) {
+    col->port = &mux_->open(a.group, a.replicas);
+    local = col->port->to_local(config_.node);
+    net = col->port;
+    n = initial = a.replicas.size();
+  }
   if (!config_.wal_dir.empty()) {
-    // Per-column WAL root: shard-local ids repeat across groups, so the
-    // columns must not share one journal namespace.
-    col->store = std::make_unique<storage::FileStableStore>(
-        config_.wal_dir + "/g" + std::to_string(a.group));
+    col->store =
+        std::make_unique<storage::FileStableStore>(column_wal_dir(a.group));
   }
   if (!config_.trace_dir.empty()) {
     col->sink = std::make_unique<TraceSink>(
         TraceSink::path_for(config_.trace_dir, config_.node, a.group),
-        TraceMeta{realtime_us(), r, r, col->local, a.group});
+        TraceMeta{realtime_us(), n, initial, local, a.group});
   }
   RuntimeOptions options;
   options.vs = config_.vs_config();
   col->runtime = std::make_unique<NodeRuntime>(
-      col->local, r, r, *col->port, sim_, options, col->store.get(),
+      local, n, initial, *net, sim_, options, col->store.get(),
       col->sink.get(), &realtime_us);
-  // A column opened over transferred journals adopts the donor's delivery
-  // cursor: CRASH (recorded by the recovering constructor) then HANDOFF
-  // tell the offline auditor the new incarnation may re-deliver the
-  // donor's tail but can never invent order.
-  if (handoff_next != 0) col->runtime->note_handoff(handoff_next);
+  // CRASH (recorded by the recovering runtime) then HANDOFF tell the
+  // offline auditor the new incarnation may re-deliver the donor's tail but
+  // can never invent order.
+  if (handoff_next != 0) col->runtime->column().note_handoff(handoff_next);
   col->runtime->bind_metrics(col->metrics);
   columns_.push_back(std::move(col));
   return *columns_.back();
@@ -325,7 +304,7 @@ void Daemon::apply_pool_view(const View& view) {
               assignments_[gm.group - 1].replicas[gm.source_slot.value()];
           start_join(gm.group, mv.slot, donor, installed[gm.group - 1]);
         } else if (col != nullptr) {
-          if (col->local == mv.slot) {
+          if (col->runtime->self() == mv.slot) {
             // The slot WE host migrated away: the pool view declared us dead
             // (we were partitioned or slow) and a survivor re-homed it. Our
             // incarnation is superseded — tear the column down.
@@ -401,15 +380,9 @@ void Daemon::handle_transfer(ProcessId from,
     // re-deliver the departed replica's tail, it cannot invent order).
     Column* col = column_for(frame.group);
     if (col == nullptr || col->store == nullptr) return;
-    shard::SlotSnapshot snap;
-    snap.vs =
-        load_or_empty(*col->store, NodeRuntime::storage_key(col->local, "vs"));
-    snap.dvs = load_or_empty(*col->store,
-                             NodeRuntime::storage_key(col->local, "dvs"));
-    snap.to =
-        load_or_empty(*col->store, NodeRuntime::storage_key(col->local, "to"));
-    snap.next = col->runtime->to().automaton().nextreport();
-    const Bytes encoded = shard::encode_snapshot(snap);
+    const Bytes encoded = shard::encode_snapshot(shard::snapshot_slot(
+        *col->store, col->runtime->self(),
+        col->runtime->to().automaton().nextreport()));
     for (const shard::TransferFrame& chunk :
          shard::chunk_snapshot(frame.group, frame.slot, frame.episode,
                                encoded, kTransferChunk)) {
@@ -446,30 +419,19 @@ void Daemon::finish_join(std::uint32_t group, const Bytes& encoded) {
     it->second.assembler.expect(xfer_episode_ + 1);
     return;
   }
-  // Install mirrors ShardCluster::migrate_slot's episode discipline. All
-  // three journals are written unconditionally — if this host ever held
-  // this slot before, a stale journal for a layer the donor never wrote
-  // must not leak into the adopted state. The commit marker (with the
-  // donor's handoff cursor) then flips a crash from roll-back (re-plan and
-  // re-transfer) to roll-forward (build_columns adopts the slot from the
-  // completed journals); only after it do the durable assignments commit.
-  storage::FileStableStore store(config_.wal_dir + "/g" +
-                                 std::to_string(group));
-  store.replace(NodeRuntime::storage_key(slot, "vs"), snap.vs);
-  store.replace(NodeRuntime::storage_key(slot, "dvs"), snap.dvs);
-  store.replace(NodeRuntime::storage_key(slot, "to"), snap.to);
-  Writer w;
-  w.varuint(snap.next);
-  store.replace(shard::transfer_stage_key(slot, "meta"), w.take());
-  joins_.erase(group);
-  persist_assignments();  // unmasked now: this group's row is durable
-  // Open the column over the installed journals: NodeRuntime's recovery
-  // path rebuilds the stack (and records EvCrash), replay_kv rebuilds the
-  // application state, and open_column records the HANDOFF.
-  Column& col = open_column(assignments_[group - 1], snap.next);
-  col.runtime->start();
-  // Episode complete: clearing the marker is LAST (ShardCluster order).
-  store.replace(shard::transfer_stage_key(slot, "meta"), Bytes{});
+  // The shared episode (shard::run_episode): stage → commit marker →
+  // install → cutover → clear marker. Only the cutover is ours: the durable
+  // assignments commit (this group's row is no longer masked), and the
+  // column opens over the installed journals — the recovering runtime
+  // records CRASH and rebuilds the KV state, open_column the HANDOFF.
+  storage::FileStableStore store(column_wal_dir(group));
+  shard::EpisodeHooks hooks;
+  hooks.cutover = [this, group](const shard::MigrationMarker& m) {
+    joins_.erase(group);
+    persist_assignments();
+    open_column(assignments_[group - 1], m.next).runtime->start();
+  };
+  shard::run_episode(store, slot, config_.node, snap, hooks);
 }
 
 void Daemon::teardown_column(std::uint32_t group) {
@@ -516,7 +478,6 @@ std::uint64_t Daemon::elapsed_us() const {
 }
 
 int Daemon::run(const volatile std::sig_atomic_t* stop) {
-  if (runtime_ != nullptr) runtime_->start();
   for (const std::unique_ptr<Column>& c : columns_) c->runtime->start();
   if (pool_vs_ != nullptr) pool_vs_->start();
   epoll_event events[8];
@@ -579,12 +540,11 @@ void Daemon::handle_control() {
 }
 
 std::string Daemon::execute(const std::string& command) {
-  const bool sharded = !columns_.empty();
   std::istringstream is(command);
   std::string op;
   is >> op;
   if (op == "ping") {
-    bool recovered = runtime_ != nullptr && runtime_->recovered();
+    bool recovered = false;
     for (const std::unique_ptr<Column>& c : columns_) {
       recovered = recovered || c->runtime->recovered();
     }
@@ -592,126 +552,87 @@ std::string Daemon::execute(const std::string& command) {
            " pid=" + std::to_string(::getpid()) +
            " recovered=" + (recovered ? "1" : "0");
   }
-  // In a sharded deployment every keyed op routes through the ShardRouter;
-  // a node that does not host the key's shard answers with a redirect the
-  // client (cluster.sh) can follow instead of silently writing into the
-  // wrong totally-ordered stream.
+  // Every keyed op routes to its column. In a sharded deployment a node
+  // that does not host the key's shard answers with a redirect the client
+  // (cluster.sh) can follow instead of silently writing into the wrong
+  // totally-ordered stream.
   const auto route = [&](const std::string& key) -> std::pair<Column*, std::string> {
-    if (!sharded) return {nullptr, ""};
-    const std::uint32_t k = router_.shard_of(key);
+    const std::uint32_t k = mux_ ? router_.shard_of(key) : 0;
     Column* col = column_for(k);
     if (col != nullptr) return {col, ""};
     const ProcessId contact = router_.contact(k, config_.node);
     return {nullptr, "moved shard=" + std::to_string(k) +
                          " node=" + std::to_string(contact.value())};
   };
-  if (op == "put") {
+  if (op == "put" || op == "del") {
     std::string key, value;
-    if (!(is >> key >> value)) return "err usage: put <key> <value>";
-    if (sharded) {
-      const auto [col, moved] = route(key);
-      if (col == nullptr) return moved;
-      const std::uint64_t uid =
-          col->runtime->bcast_command("put " + key + " " + value);
-      return "ok uid=" + std::to_string(uid) +
-             " shard=" + std::to_string(col->group);
+    if (op == "put" && !(is >> key >> value)) {
+      return "err usage: put <key> <value>";
     }
-    const std::uint64_t uid =
-        runtime_->bcast_command("put " + key + " " + value);
-    return "ok uid=" + std::to_string(uid);
-  }
-  if (op == "del") {
-    std::string key;
-    if (!(is >> key)) return "err usage: del <key>";
-    if (sharded) {
-      const auto [col, moved] = route(key);
-      if (col == nullptr) return moved;
-      const std::uint64_t uid = col->runtime->bcast_command("del " + key);
-      return "ok uid=" + std::to_string(uid) +
-             " shard=" + std::to_string(col->group);
-    }
-    const std::uint64_t uid = runtime_->bcast_command("del " + key);
-    return "ok uid=" + std::to_string(uid);
+    if (op == "del" && !(is >> key)) return "err usage: del <key>";
+    const auto [col, moved] = route(key);
+    if (col == nullptr) return moved;
+    const std::uint64_t uid = col->runtime->bcast_command(
+        op == "put" ? "put " + key + " " + value : "del " + key);
+    std::string reply = "ok uid=" + std::to_string(uid);
+    if (col->group != 0) reply += " shard=" + std::to_string(col->group);
+    return reply;
   }
   if (op == "get") {
     std::string key;
     if (!(is >> key)) return "err usage: get <key>";
-    if (sharded) {
-      const auto [col, moved] = route(key);
-      if (col == nullptr) return moved;
-      if (!col->runtime->kv().data().contains(key)) return "(nil)";
-      return col->runtime->kv().get(key);
-    }
-    if (!runtime_->kv().data().contains(key)) return "(nil)";
-    return runtime_->kv().get(key);
+    const auto [col, moved] = route(key);
+    if (col == nullptr) return moved;
+    if (!col->runtime->kv().data().contains(key)) return "(nil)";
+    return col->runtime->kv().get(key);
   }
   if (op == "dump") {
-    if (!sharded) return runtime_->kv().snapshot();
     std::string out;
     for (const std::unique_ptr<Column>& c : columns_) {
-      out += "g" + std::to_string(c->group) + "\n" + c->runtime->kv().snapshot();
+      // Shard columns are tagged; the unsharded node's answers untagged.
+      if (c->group != 0) out += "g" + std::to_string(c->group) + "\n";
+      out += c->runtime->kv().snapshot();
     }
     return out;
   }
-  if (op == "digest") {
-    std::ostringstream os;
-    if (sharded) {
-      for (const std::unique_ptr<Column>& c : columns_) {
-        os << "g" << c->group << " digest=" << std::hex
-           << c->runtime->kv().digest() << std::dec
-           << " applied=" << c->runtime->kv().applied() << "\n";
+  if (op == "digest" || op == "view") {
+    std::string out;
+    for (const std::unique_ptr<Column>& c : columns_) {
+      std::ostringstream os;
+      if (op == "digest") {
+        os << "digest=" << std::hex << c->runtime->kv().digest() << std::dec
+           << " applied=" << c->runtime->kv().applied();
+      } else if (const std::optional<View>& v = c->runtime->vs().view();
+                 v.has_value()) {
+        os << "view=" << v->to_string()
+           << " primary=" << (c->runtime->dvs().in_primary() ? "1" : "0");
+      } else {
+        os << "no-view";
       }
-      return os.str();
+      out += c->group == 0
+                 ? os.str()
+                 : "g" + std::to_string(c->group) + " " + os.str() + "\n";
     }
-    os << "digest=" << std::hex << runtime_->kv().digest() << std::dec
-       << " applied=" << runtime_->kv().applied();
-    return os.str();
+    return out;
   }
   if (op == "applied") {
-    if (!sharded) return std::to_string(runtime_->kv().applied());
     std::uint64_t total = 0;
     for (const std::unique_ptr<Column>& c : columns_) {
       total += c->runtime->kv().applied();
     }
     return std::to_string(total);
   }
-  if (op == "view") {
-    const auto one = [](NodeRuntime& rt) -> std::string {
-      const std::optional<View>& v = rt.vs().view();
-      if (!v.has_value()) return "no-view";
-      return "view=" + v->to_string() +
-             " primary=" + (rt.dvs().in_primary() ? "1" : "0");
-    };
-    if (!sharded) return one(*runtime_);
-    std::string out;
-    for (const std::unique_ptr<Column>& c : columns_) {
-      out += "g" + std::to_string(c->group) + " " + one(*c->runtime) + "\n";
-    }
-    return out;
-  }
   if (op == "stats") {
     obs::MetricsSnapshot out = metrics_.snapshot();
-    // Same shape as ShardCluster::metrics_snapshot(): per-column metrics
-    // under shard.<k>.*, pool-level counter/gauge rollups under pool.*.
-    // Frames for groups nobody here opened mean the peers disagree about
-    // the shard topology — surfaced as its own counter.
-    if (mux_) out.counters["shard.unroutable"] = mux_->unroutable();
-    if (sharded) {
+    if (mux_) {
+      // Frames for groups nobody here opened mean the peers disagree about
+      // the shard topology — surfaced as its own counter.
+      out.counters["shard.unroutable"] = mux_->unroutable();
       out.counters["pool.migrations"] = migrations_;
       out.counters["pool.router_re_resolutions"] = router_.re_resolutions();
     }
     for (const std::unique_ptr<Column>& c : columns_) {
-      const std::string prefix = "shard." + std::to_string(c->group) + ".";
-      const obs::MetricsSnapshot s = c->metrics.snapshot();
-      for (const auto& [key, v] : s.counters) {
-        out.counters[prefix + key] = v;
-        out.counters["pool." + key] += v;
-      }
-      for (const auto& [key, v] : s.gauges) {
-        out.gauges[prefix + key] = v;
-        out.gauges["pool." + key] += v;
-      }
-      for (const auto& [key, v] : s.histograms) out.histograms[prefix + key] = v;
+      shard::roll_up_shard(out, c->group, c->metrics.snapshot());
     }
     return out.to_prometheus();
   }
@@ -737,7 +658,7 @@ std::string Daemon::execute(const std::string& command) {
     return std::to_string(count);
   }
   if (op == "shardmap") {
-    if (!sharded) return "err unsharded deployment";
+    if (!mux_) return "err unsharded deployment";
     std::ostringstream os;
     for (const shard::ShardAssignment& a : assignments_) {
       os << "g" << a.group;

@@ -1,5 +1,12 @@
 // Daemon: one dvsd OS process — a full VS/DVS/TO node over real UDP.
 //
+// The node runs one NodeRuntime column per shard group it hosts. An
+// unsharded node (config `shards 0`) is the one-column case: group 0, run
+// straight on the socket with no group framing (untagged wire), journals at
+// the wal_dir root and trace file pN.trace. A sharded node runs its columns
+// over a GroupMux, one WAL namespace wal_dir/gK and trace file pN.gK.trace
+// per column.
+//
 // The protocol stack was written against sim::Simulator's virtual clock;
 // the daemon reuses it unmodified by driving the simulator from the wall
 // clock: simulated time is defined as "microseconds since daemon start"
@@ -42,6 +49,7 @@
 
 #include "daemon/config.h"
 #include "daemon/runtime.h"
+#include "daemon/trace_io.h"
 #include "net/udp_transport.h"
 #include "obs/metrics.h"
 #include "shard/group_mux.h"
@@ -56,8 +64,9 @@ namespace dvs::daemon {
 
 class Daemon {
  public:
-  /// Opens sockets, storage and trace sink; builds (and, when the WAL dir
-  /// already holds journals, recovers) the node. Throws on setup errors.
+  /// Opens sockets, storage and trace sinks; builds (and, when the WAL dir
+  /// already holds journals, recovers) the node's columns. Throws on setup
+  /// errors.
   explicit Daemon(DaemonConfig config);
   ~Daemon();
 
@@ -68,36 +77,22 @@ class Daemon {
   /// (signal handlers set it). Returns the process exit code.
   int run(const volatile std::sig_atomic_t* stop = nullptr);
 
-  /// The unsharded deployment's single column (throws when shards > 0 —
-  /// use column()/columns() then).
-  [[nodiscard]] NodeRuntime& runtime() { return *runtime_; }
-  [[nodiscard]] net::UdpTransport& transport() { return *transport_; }
   /// The control socket's bound port (the config may say port 0 in tests).
   [[nodiscard]] std::uint16_t control_port() const { return control_port_; }
 
-  /// One shard column this daemon hosts (shards > 0 only). A node hosts a
-  /// column for every shard whose provisioned replica set contains it.
+  /// One column this daemon hosts: the unsharded node's only one (group
+  /// 0), or one per shard whose replica set contains this node.
   struct Column {
     std::uint32_t group = 0;
-    ProcessId local{};  // shard-local id of this node within the column
-    shard::GroupMux::Port* port = nullptr;
+    shard::GroupMux::Port* port = nullptr;  // null for group 0
     std::unique_ptr<storage::FileStableStore> store;
     std::unique_ptr<TraceSink> sink;
-    std::unique_ptr<NodeRuntime> runtime;
     obs::MetricsRegistry metrics;
+    std::unique_ptr<NodeRuntime> runtime;
   };
   [[nodiscard]] const std::vector<std::unique_ptr<Column>>& columns() const {
     return columns_;
   }
-
-  /// The current shard map (initial provisioning plus every migration this
-  /// daemon has applied from pool view changes).
-  [[nodiscard]] const std::vector<shard::ShardAssignment>& assignments()
-      const {
-    return assignments_;
-  }
-  /// Column slot migrations this daemon has observed (dynamic mode).
-  [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
  private:
   /// Untagged-datagram Transport view of the shared socket — the pool
@@ -120,8 +115,12 @@ class Daemon {
   };
 
   void build_columns();
+  /// Opens the column for `a` (group 0: the unsharded node). A nonzero
+  /// `handoff_next` records HANDOFF(next) after the recovering runtime's
+  /// CRASH: the column adopted a migration donor's journals.
   Column& open_column(const shard::ShardAssignment& a,
                       std::uint64_t handoff_next);
+  [[nodiscard]] std::string column_wal_dir(std::uint32_t group) const;
   void build_pool_group();
   void apply_pool_view(const View& view);
   void start_join(std::uint32_t group, ProcessId slot, ProcessId donor,
@@ -139,10 +138,7 @@ class Daemon {
   DaemonConfig config_;
   sim::Simulator sim_;
   std::unique_ptr<net::UdpTransport> transport_;
-  std::unique_ptr<storage::FileStableStore> store_;
-  std::unique_ptr<TraceSink> sink_;
-  std::unique_ptr<NodeRuntime> runtime_;
-  std::unique_ptr<shard::GroupMux> mux_;
+  std::unique_ptr<shard::GroupMux> mux_;  // null when unsharded
   std::vector<std::unique_ptr<Column>> columns_;
   std::vector<shard::ShardAssignment> assignments_;
   shard::ShardRouter router_{1};  // rebuilt with K in build_columns()

@@ -2,172 +2,50 @@
 
 namespace dvs::daemon {
 
-std::string NodeRuntime::storage_key(ProcessId p, const char* layer) {
-  return p.to_string() + "/" + layer;
-}
-
 NodeRuntime::NodeRuntime(ProcessId self, std::size_t n,
                          std::size_t initial_members, net::Transport& net,
                          sim::Simulator& sim, RuntimeOptions options,
                          storage::StableStore* store, TraceSink* sink,
                          std::function<std::uint64_t()> now_us)
-    : self_(self),
-      universe_(make_universe(n)),
-      v0_{ViewId::initial(),
-          make_universe(initial_members == 0 ? n : initial_members)},
-      options_(std::move(options)),
-      store_(store),
+    : record_in_memory_(options.record_in_memory),
       sink_(sink),
       now_us_(std::move(now_us)) {
   // A prior incarnation leaves journals behind; their presence IS the
   // crash-restart signal (the daemon has no other memory of having run).
-  recovered_ =
-      store_ != nullptr && (store_->load(storage_key(self_, "vs")).has_value() ||
-                            store_->load(storage_key(self_, "dvs")).has_value() ||
-                            store_->load(storage_key(self_, "to")).has_value());
-  const dvsys::DvsNodeOptions dvs_opts{.auto_gc = options_.gc_enabled,
-                                       .weights = options_.weights};
-  const tosys::ToNodeOptions to_opts{
-      .auto_register = options_.registration_enabled,
-      .automaton = options_.to_options};
-  if (recovered_) {
-    // Same sequence as Cluster::restart: recover every layer's durable
-    // state, rebuild bottom-up, restore, and rejoin with no view.
-    const std::uint64_t epoch =
-        vsys::VsNode::recover_epoch(*store_, storage_key(self_, "vs"));
-    const impl::DvsDurableState dvs_state = dvsys::DvsNode::recover(
-        *store_, storage_key(self_, "dvs"), self_, v0_);
-    const toimpl::ToDurableState to_state =
-        tosys::ToNode::recover(*store_, storage_key(self_, "to"));
-    vs_ = std::make_unique<vsys::VsNode>(self_, std::nullopt, net, sim,
-                                         options_.vs, vsys::VsCallbacks{});
-    vs_->restore_epoch(epoch);
-    dvs_ = std::make_unique<dvsys::DvsNode>(self_, v0_, *vs_,
-                                            dvsys::DvsCallbacks{}, dvs_opts);
-    dvs_->restore(dvs_state);
-    to_ = std::make_unique<tosys::ToNode>(self_, v0_, *dvs_,
-                                          tosys::ToCallbacks{}, to_opts);
-    to_->restore(to_state);
-    if (options_.replay_kv) {
-      // The restored cursor (nextreport) suppresses re-delivery of the
-      // already-reported prefix, so the application must be rebuilt from
-      // the durable order directly. deliveries_/hooks see only live
-      // deliveries — replay is application state reconstruction, not a
-      // re-observation of the protocol.
-      for (std::uint64_t i = 1;
-           i < to_state.nextreport && i <= to_state.order.size(); ++i) {
-        auto it = to_state.content.find(to_state.order[i - 1]);
-        if (it != to_state.content.end()) kv_.apply(it->second.payload);
-      }
-    }
-  } else {
-    const bool member = v0_.contains(self_);
-    vs_ = std::make_unique<vsys::VsNode>(
-        self_, member ? std::optional<View>{v0_} : std::nullopt, net, sim,
-        options_.vs, vsys::VsCallbacks{});
-    dvs_ = std::make_unique<dvsys::DvsNode>(self_, v0_, *vs_,
-                                            dvsys::DvsCallbacks{}, dvs_opts);
-    to_ = std::make_unique<tosys::ToNode>(self_, v0_, *dvs_,
-                                          tosys::ToCallbacks{}, to_opts);
-  }
-  wire();
-  if (store_ != nullptr) {
-    vs_->attach_storage(*store_, storage_key(self_, "vs"));
-    dvs_->attach_storage(*store_, storage_key(self_, "dvs"));
-    to_->attach_storage(*store_, storage_key(self_, "to"));
-  }
-  if (recovered_) {
-    // Broadcasts the lost incarnation accepted but had not yet ordered
-    // leave the TO sender-FIFO obligation (spec/events.h, EvCrash). Record
-    // it first so it precedes every event of this incarnation.
-    note(spec::ToEvent{spec::EvCrash{self_}});
-  }
+  recovered_ = store != nullptr &&
+               tosys::ProcessColumn::has_journals(*store, self);
+  const View v0{ViewId::initial(),
+                make_universe(initial_members == 0 ? n : initial_members)};
+  tosys::ColumnObserver& observer = *this;
+  column_ = std::make_unique<tosys::ProcessColumn>(
+      self, v0, net, sim, options, observer, store, recovered_);
+  // The restored cursor (nextreport) suppresses re-delivery of the
+  // already-reported prefix, so the application is rebuilt from the durable
+  // order directly. app.deliveries counts only live deliveries — replay is
+  // application state reconstruction, not a re-observation of the protocol.
+  column_->for_each_reported([this](const AppMsg& a) { kv_.apply(a.payload); });
 }
 
-void NodeRuntime::start() { vs_->start(); }
-
-void NodeRuntime::note(const spec::VsEvent& event) {
+void NodeRuntime::on_vs(const spec::VsEvent& event) {
   const std::uint64_t ts = now_us_();
   if (sink_ != nullptr) sink_->record(ts, event);
-  if (options_.record_in_memory) events_.push_back({ts, kTraceVs, event});
+  if (record_in_memory_) events_.push_back({ts, kTraceVs, event});
 }
 
-void NodeRuntime::note(const spec::DvsEvent& event) {
+void NodeRuntime::on_dvs(const spec::DvsEvent& event) {
   const std::uint64_t ts = now_us_();
   if (sink_ != nullptr) sink_->record(ts, event);
-  if (options_.record_in_memory) events_.push_back({ts, kTraceDvs, event});
+  if (record_in_memory_) events_.push_back({ts, kTraceDvs, event});
 }
 
-void NodeRuntime::note(const spec::ToEvent& event) {
+void NodeRuntime::on_to(const spec::ToEvent& event) {
   const std::uint64_t ts = now_us_();
   if (sink_ != nullptr) sink_->record(ts, event);
-  if (options_.record_in_memory) events_.push_back({ts, kTraceTo, event});
-}
-
-void NodeRuntime::wire() {
-  // The same callback-wrapping scheme as Cluster::wire_process, with the
-  // recorder swapped for note() (disk and/or memory) and the state machine
-  // applied on delivery.
-  const ProcessId p = self_;
-
-  tosys::ToCallbacks to_cb;
-  to_cb.on_brcv = [this, p](const AppMsg& a, ProcessId origin) {
-    note(spec::ToEvent{spec::EvBrcv{origin, p, a}});
-    const RuntimeDelivery d{origin, a, now_us_()};
-    deliveries_.push_back(d);
-    kv_.apply(a.payload);
-    if (delivery_hook_) delivery_hook_(d);
-  };
-  to_->set_callbacks(std::move(to_cb));
-
-  dvsys::DvsCallbacks dvs_cb = to_->dvs_callbacks();
-  {
-    auto fwd_newview = std::move(dvs_cb.on_newview);
-    dvs_cb.on_newview = [this, p, fwd_newview](const View& v) {
-      note(spec::DvsEvent{spec::EvNewview{p, v}});
-      if (fwd_newview) fwd_newview(v);
-    };
-    dvs_cb.on_register = [this, p] {
-      note(spec::DvsEvent{spec::EvRegister{p}});
-    };
-    auto fwd_gprcv = std::move(dvs_cb.on_gprcv);
-    dvs_cb.on_gprcv = [this, p, fwd_gprcv](const ClientMsg& m, ProcessId from) {
-      note(spec::DvsEvent{spec::EvGprcv<ClientMsg>{from, p, m}});
-      if (fwd_gprcv) fwd_gprcv(m, from);
-    };
-    auto fwd_safe = std::move(dvs_cb.on_safe);
-    dvs_cb.on_safe = [this, p, fwd_safe](const ClientMsg& m, ProcessId from) {
-      note(spec::DvsEvent{spec::EvSafe<ClientMsg>{from, p, m}});
-      if (fwd_safe) fwd_safe(m, from);
-    };
-    dvs_cb.on_gpsnd = [this, p](const ClientMsg& m) {
-      note(spec::DvsEvent{spec::EvGpsnd<ClientMsg>{p, m}});
-    };
+  if (record_in_memory_) events_.push_back({ts, kTraceTo, event});
+  if (const auto* brcv = std::get_if<spec::EvBrcv>(&event)) {
+    ++deliveries_;
+    kv_.apply(brcv->a.payload);
   }
-  dvs_->set_callbacks(std::move(dvs_cb));
-
-  vsys::VsCallbacks vs_cb = dvs_->vs_callbacks();
-  {
-    auto fwd_newview = std::move(vs_cb.on_newview);
-    vs_cb.on_newview = [this, p, fwd_newview](const View& v) {
-      note(spec::VsEvent{spec::EvNewview{p, v}});
-      if (fwd_newview) fwd_newview(v);
-    };
-    auto fwd_gprcv = std::move(vs_cb.on_gprcv);
-    vs_cb.on_gprcv = [this, p, fwd_gprcv](const Msg& m, ProcessId from) {
-      note(spec::VsEvent{spec::EvGprcv<Msg>{from, p, m}});
-      if (fwd_gprcv) fwd_gprcv(m, from);
-    };
-    auto fwd_safe = std::move(vs_cb.on_safe);
-    vs_cb.on_safe = [this, p, fwd_safe](const Msg& m, ProcessId from) {
-      note(spec::VsEvent{spec::EvSafe<Msg>{from, p, m}});
-      if (fwd_safe) fwd_safe(m, from);
-    };
-    vs_cb.on_gpsnd = [this, p](const Msg& m) {
-      note(spec::VsEvent{spec::EvGpsnd<Msg>{p, m}});
-    };
-  }
-  vs_->set_callbacks(std::move(vs_cb));
 }
 
 std::uint64_t NodeRuntime::bcast_command(const std::string& command) {
@@ -175,19 +53,15 @@ std::uint64_t NodeRuntime::bcast_command(const std::string& command) {
   // counter, so fold the clock in: restarts are many microseconds apart,
   // and the low bits disambiguate bursts within one microsecond.
   const std::uint64_t uid = (now_us_() << 12) | (uid_salt_++ & 0xFFF);
-  const AppMsg a{uid, self_, command};
-  note(spec::ToEvent{spec::EvBcast{self_, a}});
-  to_->bcast(a);
+  column_->bcast(AppMsg{uid, self(), command});
   return uid;
 }
 
 void NodeRuntime::bind_metrics(obs::MetricsRegistry& metrics) {
-  vs_->bind_metrics(metrics);
-  dvs_->bind_metrics(metrics);
-  to_->bind_metrics(metrics);
+  (void)column_->bind_metrics(metrics);
   metrics.add_collector([this, &metrics] {
     metrics.counter("app.applied").set(kv_.applied());
-    metrics.counter("app.deliveries").set(deliveries_.size());
+    metrics.counter("app.deliveries").set(deliveries_);
   });
 }
 

@@ -1,20 +1,21 @@
-// NodeRuntime: one process's full VS/DVS/TO stack over an abstract
-// Transport, with a replicated key-value state machine on top.
+// NodeRuntime: one process's VS/DVS/TO column over an abstract Transport,
+// with a replicated key-value state machine on top.
 //
-// This is the single-process counterpart of tosys::Cluster: the same
-// bottom-up construction, the same callback wrapping for spec-event
-// observation, the same crash-restart recovery sequence — but for exactly
-// one ProcessId, over any Transport (a UdpTransport in dvsd, a shared
-// SimNetwork in the sim-vs-real differential tests). Spec events go to an
-// on-disk TraceSink (real deployments; the offline auditor replays them)
-// and/or an in-memory log (in-process tests feed it to the same auditor
-// without touching the filesystem).
+// The runtime holds exactly one tosys::ProcessColumn — the same column
+// tosys::Cluster holds n of — over any Transport (a UdpTransport or a
+// GroupMux port in dvsd, a shared SimNetwork in the sim-vs-real
+// differential tests), and observes it: spec events go to an on-disk
+// TraceSink (real deployments; the offline auditor replays them) and/or an
+// in-memory log (in-process tests feed it to the same auditor without
+// touching the filesystem), and every delivery is applied to the KV state
+// machine.
 //
 // Recovery is automatic: if the stable store already holds journals for
-// this process, the constructor rebuilds from them exactly like
-// Cluster::restart — the node starts with no view and rejoins through the
-// membership protocol — and records the spec::EvCrash that relaxes the TO
-// sender-FIFO obligation for the lost incarnation.
+// this process, the column is rebuilt from them exactly like
+// Cluster::restart — the node starts with no view, rejoins through the
+// membership protocol, and the column reports the spec::EvCrash that
+// relaxes the TO sender-FIFO obligation for the lost incarnation — and the
+// KV state is rebuilt from the recovered order prefix.
 #pragma once
 
 #include <cstdint>
@@ -27,40 +28,21 @@
 #include "common/types.h"
 #include "common/view.h"
 #include "daemon/trace_io.h"
-#include "dvsys/dvs_node.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "storage/stable_store.h"
-#include "tosys/to_node.h"
-#include "vsys/vs_node.h"
+#include "tosys/process_column.h"
 
 namespace dvs::daemon {
 
-struct RuntimeOptions {
-  vsys::VsConfig vs;
-  bool gc_enabled = true;
-  bool registration_enabled = true;
-  toimpl::DvsToToOptions to_options;
-  WeightMap weights;
+struct RuntimeOptions : tosys::ColumnOptions {
   /// Keep every spec event in memory (events()); in-process tests audit
   /// these directly. dvsd turns it off — its events go to the TraceSink.
   bool record_in_memory = false;
-  /// On crash-restart recovery, rebuild the KV state machine by replaying
-  /// the recovered TO order prefix up to nextreport. Without it a restarted
-  /// node's application state stays empty forever: the restored delivery
-  /// cursor suppresses re-delivery of everything already reported.
-  bool replay_kv = true;
 };
 
-/// One BRCV delivery applied to the local state machine.
-struct RuntimeDelivery {
-  ProcessId origin{};
-  AppMsg msg;
-  std::uint64_t ts_us = 0;
-};
-
-class NodeRuntime {
+class NodeRuntime : private tosys::ColumnObserver {
  public:
   /// `store` (nullable) enables persistence; `sink` (nullable) enables
   /// on-disk traces; `now_us` supplies event timestamps (CLOCK_REALTIME in
@@ -70,8 +52,11 @@ class NodeRuntime {
               storage::StableStore* store, TraceSink* sink,
               std::function<std::uint64_t()> now_us);
 
+  NodeRuntime(const NodeRuntime&) = delete;
+  NodeRuntime& operator=(const NodeRuntime&) = delete;
+
   /// Attaches the net handler and arms the timers (VsNode::start).
-  void start();
+  void start() { column_->start(); }
 
   /// True when the constructor found prior journals and rebuilt from them
   /// (this run is a crash-restart incarnation).
@@ -81,65 +66,38 @@ class NodeRuntime {
   /// command travels under (unique per origin across incarnations).
   std::uint64_t bcast_command(const std::string& command);
 
-  [[nodiscard]] ProcessId self() const { return self_; }
-  [[nodiscard]] const ProcessSet& universe() const { return universe_; }
-  [[nodiscard]] const View& v0() const { return v0_; }
-  [[nodiscard]] vsys::VsNode& vs() { return *vs_; }
-  [[nodiscard]] dvsys::DvsNode& dvs() { return *dvs_; }
-  [[nodiscard]] tosys::ToNode& to() { return *to_; }
+  [[nodiscard]] ProcessId self() const { return column_->self(); }
+  [[nodiscard]] tosys::ProcessColumn& column() { return *column_; }
+  [[nodiscard]] vsys::VsNode& vs() { return column_->vs(); }
+  [[nodiscard]] dvsys::DvsNode& dvs() { return column_->dvs(); }
+  [[nodiscard]] tosys::ToNode& to() { return column_->to(); }
   [[nodiscard]] const apps::KvStateMachine& kv() const { return kv_; }
 
-  [[nodiscard]] const std::vector<RuntimeDelivery>& deliveries() const {
-    return deliveries_;
-  }
   /// The in-memory spec-event log (empty unless record_in_memory).
   [[nodiscard]] const std::vector<TracedEvent>& events() const {
     return events_;
   }
 
-  void set_delivery_hook(std::function<void(const RuntimeDelivery&)> hook) {
-    delivery_hook_ = std::move(hook);
-  }
-
-  /// Records spec::EvHandoff: this incarnation adopted a migration donor's
-  /// delivery cursor (shard re-provisioning). Call once, right after
-  /// constructing a runtime over transferred journals — the constructor's
-  /// EvCrash must precede it in the trace.
-  void note_handoff(std::uint64_t next) {
-    note(spec::ToEvent{spec::EvHandoff{self_, next}});
-  }
-
-  /// vs/dvs/to counters plus app.applied.
+  /// vs/dvs/to counters plus app.applied / app.deliveries.
   void bind_metrics(obs::MetricsRegistry& metrics);
 
-  /// Stable-store key for one layer's journal — same scheme as
-  /// tosys::Cluster ("pN/vs" etc.), so sim- and real-written WALs line up.
-  [[nodiscard]] static std::string storage_key(ProcessId p, const char* layer);
-
  private:
-  void wire();
-  void note(const spec::VsEvent& event);
-  void note(const spec::DvsEvent& event);
-  void note(const spec::ToEvent& event);
+  // ColumnObserver: every spec event goes to the sink and/or memory log;
+  // deliveries also apply to the state machine.
+  [[nodiscard]] bool wants_messages() const override { return true; }
+  void on_vs(const spec::VsEvent& event) override;
+  void on_dvs(const spec::DvsEvent& event) override;
+  void on_to(const spec::ToEvent& event) override;
 
-  ProcessId self_;
-  ProcessSet universe_;
-  View v0_;
-  RuntimeOptions options_;
-  storage::StableStore* store_;
+  bool record_in_memory_;
   TraceSink* sink_;
   std::function<std::uint64_t()> now_us_;
   bool recovered_ = false;
-
-  std::unique_ptr<vsys::VsNode> vs_;
-  std::unique_ptr<dvsys::DvsNode> dvs_;
-  std::unique_ptr<tosys::ToNode> to_;
-
   apps::KvStateMachine kv_;
-  std::vector<RuntimeDelivery> deliveries_;
+  std::uint64_t deliveries_ = 0;  // live BRCVs (recovery replay excluded)
   std::vector<TracedEvent> events_;
-  std::function<void(const RuntimeDelivery&)> delivery_hook_;
   std::uint64_t uid_salt_ = 0;
+  std::unique_ptr<tosys::ProcessColumn> column_;  // last: observes the above
 };
 
 }  // namespace dvs::daemon

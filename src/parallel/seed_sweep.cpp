@@ -1,105 +1,16 @@
 #include "parallel/seed_sweep.h"
 
-#include <exception>
 #include <utility>
-#include <vector>
 
 #include "explorer/to_explorer.h"
-#include "parallel/thread_pool.h"
 
 namespace dvs::parallel {
-namespace {
-
-struct SeedSlot {
-  explorer::ExplorationStats stats;
-  bool ok = false;
-  std::string error;
-};
-
-}  // namespace
-
-SeedSweepResult SeedSweep::run(const SeedTask& task) const {
-  const std::size_t n = static_cast<std::size_t>(config_.num_seeds);
-  std::vector<SeedSlot> slots(n);
-
-  {
-    ThreadPool pool(config_.jobs);
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&task, &slot = slots[i],
-                   seed = config_.first_seed + i]() noexcept {
-        try {
-          slot.stats = task(seed);
-          slot.ok = true;
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-        } catch (...) {
-          slot.error = "unknown exception";
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-
-  // Aggregate strictly in seed order: the totals and the reported failure
-  // are independent of which worker ran which seed.
-  SeedSweepResult result;
-  for (std::size_t i = 0; i < n; ++i) {
-    ++result.seeds_run;
-    if (slots[i].ok) {
-      result.total += slots[i].stats;
-    } else {
-      ++result.seeds_failed;
-      if (!result.first_failure.has_value()) {
-        result.first_failure =
-            SeedFailure{config_.first_seed + i, std::move(slots[i].error)};
-      }
-    }
-  }
-  return result;
-}
 
 ChaosSweepResult run_chaos_sweep(const SeedSweepConfig& config,
-                                 const tosys::ChaosConfig& chaos) {
-  struct ChaosSlot {
-    tosys::ChaosStats stats;
-    bool ok = false;
-    std::string error;
-  };
-  const std::size_t n = static_cast<std::size_t>(config.num_seeds);
-  std::vector<ChaosSlot> slots(n);
-
-  {
-    ThreadPool pool(config.jobs);
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&chaos, &slot = slots[i],
-                   seed = config.first_seed + i]() noexcept {
-        try {
-          slot.stats = tosys::run_chaos_seed(seed, chaos);
-          slot.ok = true;
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-        } catch (...) {
-          slot.error = "unknown exception";
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-
-  ChaosSweepResult result;
-  for (std::size_t i = 0; i < n; ++i) {
-    ++result.seeds_run;
-    if (slots[i].ok) {
-      result.total += slots[i].stats;
-    } else {
-      ++result.seeds_failed;
-      if (!result.first_failure.has_value()) {
-        result.first_failure =
-            SeedFailure{config.first_seed + i, std::move(slots[i].error)};
-      }
-    }
-  }
-  return result;
+                                 const shard::ShardChaosConfig& chaos) {
+  return sweep_seeds<tosys::ChaosStats>(config, [&chaos](std::uint64_t seed) {
+    return shard::run_chaos_seed(seed, chaos);
+  });
 }
 
 SeedTask vs_spec_task(ProcessSet universe, View v0,

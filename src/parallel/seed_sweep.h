@@ -17,14 +17,19 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "common/view.h"
 #include "explorer/explorer.h"
 #include "impl/vs_to_dvs.h"
+#include "parallel/thread_pool.h"
+#include "shard/shard_chaos.h"
 #include "toimpl/dvs_to_to.h"
 #include "tosys/chaos.h"
 
@@ -44,34 +49,71 @@ struct SeedFailure {
   std::string message;
 };
 
-struct SeedSweepResult {
-  /// Field-wise sum of the per-seed stats, accumulated in seed order.
-  explorer::ExplorationStats total;
+/// A sweep's aggregate: `total` folds the passing seeds' results in seed
+/// order and `first_failure` is always the LOWEST failing seed, so every
+/// field is byte-identical for any thread count.
+template <typename Stats>
+struct SweepResult {
+  Stats total;
   std::size_t seeds_run = 0;
   std::size_t seeds_failed = 0;
   /// Failure of the lowest failing seed, if any seed failed.
   std::optional<SeedFailure> first_failure;
 };
 
+/// The one seed fan-out behind every sweep (explorers, chaos, scenarios):
+/// runs `task` for each seed of `config` on a thread pool — a seed fails by
+/// throwing, and keeps its what() — then folds the results into `total`
+/// with += in seed order. Never throws for seed failures: the sweep always
+/// completes every seed and the lowest failing one is known.
+template <typename Stats>
+[[nodiscard]] SweepResult<Stats> sweep_seeds(
+    const SeedSweepConfig& config,
+    const std::function<Stats(std::uint64_t seed)>& task, Stats total = {}) {
+  struct Slot {
+    std::optional<Stats> stats;
+    std::string error;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(config.num_seeds));
+  {
+    ThreadPool pool(config.jobs);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      pool.submit([&task, &slot = slots[i],
+                   seed = config.first_seed + i]() noexcept {
+        try {
+          slot.stats = task(seed);
+        } catch (const std::exception& e) {
+          slot.error = e.what();
+        } catch (...) {
+          slot.error = "unknown exception";
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  SweepResult<Stats> result;
+  result.total = std::move(total);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    ++result.seeds_run;
+    if (slots[i].stats.has_value()) {
+      result.total += *slots[i].stats;
+    } else {
+      ++result.seeds_failed;
+      if (!result.first_failure.has_value()) {
+        result.first_failure =
+            SeedFailure{config.first_seed + i, std::move(slots[i].error)};
+      }
+    }
+  }
+  return result;
+}
+
+using SeedSweepResult = SweepResult<explorer::ExplorationStats>;
+
 /// Runs one seed to completion and returns its stats; throws
 /// explorer::ExplorationFailure (or any exception) to report a failure.
 using SeedTask =
     std::function<explorer::ExplorationStats(std::uint64_t seed)>;
-
-class SeedSweep {
- public:
-  explicit SeedSweep(SeedSweepConfig config) : config_(config) {}
-
-  /// Fans `task` over the configured seed range. Never throws for seed
-  /// failures — they are captured in the result so the sweep always
-  /// completes every seed and the lowest failing one is known.
-  [[nodiscard]] SeedSweepResult run(const SeedTask& task) const;
-
-  [[nodiscard]] const SeedSweepConfig& config() const { return config_; }
-
- private:
-  SeedSweepConfig config_;
-};
 
 // ----- canned tasks for the four randomized explorers -----------------------
 
@@ -88,22 +130,14 @@ class SeedSweep {
 
 // ----- chaos sweeps ----------------------------------------------------------
 
-/// Result of fanning tosys::run_chaos_seed over a seed range. Same
-/// determinism contract as SeedSweepResult: `total` is summed in seed
-/// order and `first_failure` is always the LOWEST failing seed, so every
-/// field is byte-identical for any thread count.
-struct ChaosSweepResult {
-  tosys::ChaosStats total;
-  std::size_t seeds_run = 0;
-  std::size_t seeds_failed = 0;
-  std::optional<SeedFailure> first_failure;
-};
+using ChaosSweepResult = SweepResult<tosys::ChaosStats>;
 
-/// Runs the FaultPlan-driven full-stack chaos executions (tosys/chaos.h)
-/// for the seeds in `config`, each with the conformance oracles attached.
-/// Never throws for seed failures; the lowest failing seed's ChaosFailure
-/// message (seed + replayable plan + trace tail) lands in first_failure.
+/// Runs the FaultPlan-driven full-stack chaos executions
+/// (shard/shard_chaos.h; `chaos.shards` columns over one pool) for the
+/// seeds in `config`, each with the conformance oracles attached. Never
+/// throws for seed failures; the lowest failing seed's ChaosFailure message
+/// (seed + replayable plan + trace tail) lands in first_failure.
 [[nodiscard]] ChaosSweepResult run_chaos_sweep(
-    const SeedSweepConfig& config, const tosys::ChaosConfig& chaos);
+    const SeedSweepConfig& config, const shard::ShardChaosConfig& chaos);
 
 }  // namespace dvs::parallel

@@ -12,8 +12,6 @@
 namespace dvs::shard {
 namespace {
 
-/// Mirrors tosys::run_chaos_seed's ClusterConfig assembly exactly — the
-/// K=1 differential depends on both drivers building the same column.
 tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   tosys::ClusterConfig cc;
   cc.n_processes = c.n_processes;
@@ -31,115 +29,16 @@ tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   cc.record_traces = true;
   cc.conformance_oracle = true;
   cc.to_options = c.to_options;
+  // Restart adversaries need somewhere to recover from.
   cc.persistence =
       c.persistence || c.crashes_restart || c.plan.w_restart > 0;
   return cc;
 }
 
-/// The seeded client load: same salt, same draw sequence as
-/// tosys::run_chaos_seed. `inject(i, p, uid)` places broadcast i drawn for
-/// pool process p.
-template <typename Inject>
-void schedule_load(sim::Simulator& sim, std::uint64_t seed,
-                   const tosys::ChaosConfig& c, const ProcessSet& pool,
-                   Inject inject) {
-  Rng load(seed ^ 0xb0adca5700150adULL);
-  const std::vector<ProcessId> procs(pool.begin(), pool.end());
-  std::uint64_t uid = 1;
-  for (std::size_t i = 0; i < c.broadcasts; ++i) {
-    const auto at = static_cast<sim::Time>(
-        1 + load.below(static_cast<std::size_t>(c.plan.horizon)));
-    const ProcessId p = procs[load.below(procs.size())];
-    const std::uint64_t u = uid++;
-    sim.schedule_at(at, [inject, i, p, u] { inject(i, p, u); });
-  }
-}
+}  // namespace
 
-ShardChaosResult run_unsharded(std::uint64_t seed,
-                               const ShardChaosConfig& config,
-                               const ProcessSet& targets) {
-  const tosys::ChaosConfig& c = config.chaos;
-  const tosys::ClusterConfig cc = make_base(c);
-  tosys::Cluster cluster(cc, seed);
-
-  const net::FaultPlan plan = net::FaultPlan::random(seed, targets, c.plan);
-  ShardChaosResult out;
-  out.plan_text = plan.to_string();
-  net::FaultPlan::ScheduleHooks hooks;
-  hooks.crashes_restart = c.crashes_restart;
-  if (cc.persistence) {
-    hooks.restart = [&cluster](ProcessId p) { cluster.restart(p); };
-  }
-  plan.schedule(cluster.sim(), cluster.net(), hooks);
-
-  schedule_load(cluster.sim(), seed, c, cluster.universe(),
-                [&cluster](std::size_t, ProcessId p, std::uint64_t u) {
-                  cluster.bcast(p, AppMsg{u, p, "x"});
-                });
-
-  if (c.invariant_check_period > 0) {
-    for (sim::Time t = c.invariant_check_period; t < c.plan.horizon;
-         t += c.invariant_check_period) {
-      cluster.sim().schedule_at(
-          t, [&cluster] { (void)cluster.oracle().check_invariants(); });
-    }
-  }
-
-  cluster.start();
-  cluster.run_for(c.plan.horizon);
-  cluster.net().heal();
-  for (ProcessId p : cluster.universe()) cluster.net().resume(p);
-  cluster.run_for(c.settle);
-  (void)cluster.oracle().check_invariants();
-
-  if (!cluster.oracle().ok()) {
-    out.ok = false;
-    out.failure = "chaos seed " + std::to_string(seed) + ": " +
-                  cluster.oracle().violation()->to_string();
-  }
-
-  out.orders.resize(1);
-  out.orders[0].resize(c.n_processes);
-  for (const tosys::Delivery& d : cluster.deliveries()) {
-    out.orders[0][d.receiver.value()].push_back(d.msg.uid);
-  }
-
-  tosys::ChaosStats& s = out.stats;
-  s.events_checked = cluster.oracle().events_checked();
-  s.invariant_checks = cluster.oracle().invariant_checks();
-  s.broadcasts = c.broadcasts;
-  s.deliveries = cluster.deliveries().size();
-  s.fault_events = plan.events.size();
-  for (ProcessId p : cluster.universe()) {
-    const auto& vstats = cluster.vs_node(p).stats();
-    s.views_installed += vstats.views_installed;
-    s.decode_errors += vstats.decode_errors;
-    s.duplicates_suppressed += vstats.duplicates_suppressed;
-  }
-  const net::NetStats& ns = cluster.net().stats();
-  s.net_sent = ns.sent;
-  s.net_delivered = ns.delivered;
-  s.duplicated = ns.duplicated;
-  s.reordered = ns.reordered;
-  s.truncated = ns.truncated;
-  s.datagrams = ns.datagrams;
-  s.batches = ns.batches;
-  s.batched_msgs = ns.batched_msgs;
-  s.restarts = cluster.restarts();
-  if (cluster.store() != nullptr) {
-    const storage::StorageStats& ss = cluster.store()->stats();
-    s.wal_appends = ss.appends;
-    s.wal_bytes = ss.bytes_written();
-  }
-  obs::publish_span_invariants(obs::check_span_invariants(cluster.trace()),
-                               cluster.metrics());
-  s.metrics = cluster.metrics_snapshot();
-  return out;
-}
-
-ShardChaosResult run_sharded(std::uint64_t seed,
-                             const ShardChaosConfig& config,
-                             const ProcessSet& targets) {
+ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
+                                      const ShardChaosConfig& config) {
   const tosys::ChaosConfig& c = config.chaos;
   ShardClusterConfig scc;
   scc.shards = config.shards;
@@ -149,7 +48,9 @@ ShardChaosResult run_sharded(std::uint64_t seed,
   if (scc.dynamic) scc.base.persistence = true;
   ShardCluster sc(scc, seed);
 
-  const net::FaultPlan plan = net::FaultPlan::random(seed, targets, c.plan);
+  const net::FaultPlan plan = net::FaultPlan::random(
+      seed, config.fault_targets.empty() ? sc.pool() : config.fault_targets,
+      c.plan);
   ShardChaosResult out;
   out.plan_text = plan.to_string();
   net::FaultPlan::ScheduleHooks hooks;
@@ -159,19 +60,28 @@ ShardChaosResult run_sharded(std::uint64_t seed,
   }
   plan.schedule(sc.sim(), sc.net(), hooks);
 
-  // Broadcast i goes to shard (i mod K) + 1 at the replica its drawn pool
-  // process folds onto; at K=1 full replication this is exactly the
-  // unsharded load, broadcast for broadcast.
+  // Client load at seeded times across the horizon, decorrelated from both
+  // the network rngs and the plan generator so the sources of randomness
+  // never lock step. Broadcast i goes to shard (i mod K) + 1 at the replica
+  // its drawn pool process folds onto.
   const std::size_t shard_count = sc.shard_count();
-  schedule_load(
-      sc.sim(), seed, c, sc.pool(),
-      [&sc, shard_count](std::size_t i, ProcessId p, std::uint64_t u) {
-        const auto k = static_cast<std::uint32_t>(i % shard_count) + 1;
-        const std::size_t r = sc.assignment(k).replicas.size();
-        const ProcessId local(static_cast<std::uint32_t>(p.value() % r));
-        sc.bcast(k, local, AppMsg{u, local, "x"});
-      });
+  Rng load(seed ^ 0xb0adca5700150adULL);
+  const std::vector<ProcessId> procs(sc.pool().begin(), sc.pool().end());
+  for (std::size_t i = 0; i < c.broadcasts; ++i) {
+    const auto at = static_cast<sim::Time>(
+        1 + load.below(static_cast<std::size_t>(c.plan.horizon)));
+    const ProcessId p = procs[load.below(procs.size())];
+    const auto k = static_cast<std::uint32_t>(i % shard_count) + 1;
+    const ProcessId local(static_cast<std::uint32_t>(
+        p.value() % sc.assignment(k).replicas.size()));
+    sc.sim().schedule_at(at, [&sc, k, local, m = AppMsg{i + 1, local, "x"}] {
+      sc.bcast(k, local, m);
+    });
+  }
 
+  // Mid-run Invariant 4.1/4.2 checks against the oracles' resolved DVS
+  // state — a transiently bad state between events is caught even if the
+  // event stream itself stays acceptable.
   if (c.invariant_check_period > 0) {
     for (sim::Time t = c.invariant_check_period; t < c.plan.horizon;
          t += c.invariant_check_period) {
@@ -181,6 +91,8 @@ ShardChaosResult run_sharded(std::uint64_t seed,
 
   sc.start();
   sc.run_for(c.plan.horizon);
+  // Recovery phase: full connectivity back, everyone resumed, and time to
+  // converge — the oracles watch the repair traffic too.
   sc.net().heal();
   for (ProcessId p : sc.pool()) sc.net().resume(p);
   sc.run_for(c.settle);
@@ -188,25 +100,24 @@ ShardChaosResult run_sharded(std::uint64_t seed,
 
   if (!sc.oracle_ok()) {
     out.ok = false;
-    out.failure = "chaos seed " + std::to_string(seed) + ": " +
-                  sc.violation_message();
+    out.failure = "chaos seed " + std::to_string(seed) +
+                  " (n=" + std::to_string(c.n_processes) +
+                  "): " + sc.violation_message() +
+                  "\nfault plan (replay with net::FaultPlan::parse):\n" +
+                  out.plan_text;
   }
 
   out.orders.resize(shard_count);
-  for (std::size_t k = 1; k <= shard_count; ++k) {
-    tosys::Cluster& column = sc.shard(static_cast<std::uint32_t>(k));
-    out.orders[k - 1].resize(sc.assignment(k).replicas.size());
-    for (const tosys::Delivery& d : column.deliveries()) {
-      out.orders[k - 1][d.receiver.value()].push_back(d.msg.uid);
-    }
-  }
-
   tosys::ChaosStats& s = out.stats;
   s.broadcasts = c.broadcasts;
   s.fault_events = plan.events.size();
   s.restarts = sc.restarts();
   for (std::size_t k = 1; k <= shard_count; ++k) {
     tosys::Cluster& column = sc.shard(static_cast<std::uint32_t>(k));
+    out.orders[k - 1].resize(sc.assignment(k).replicas.size());
+    for (const tosys::Delivery& d : column.deliveries()) {
+      out.orders[k - 1][d.receiver.value()].push_back(d.msg.uid);
+    }
     s.events_checked += column.oracle().events_checked();
     s.invariant_checks += column.oracle().invariant_checks();
     s.deliveries += column.deliveries().size();
@@ -221,11 +132,11 @@ ShardChaosResult run_sharded(std::uint64_t seed,
       s.wal_appends += ss.appends;
       s.wal_bytes += ss.bytes_written();
     }
+    // The end-of-run span-invariant check travels inside the snapshot
+    // (all-zero on a conforming run).
     obs::publish_span_invariants(obs::check_span_invariants(column.trace()),
                                  column.metrics());
   }
-  // Pool-wide wire counters: include the top-level VS group's traffic, so
-  // they are NOT comparable to an unsharded run even at K=1.
   const net::NetStats& ns = sc.net().stats();
   s.net_sent = ns.sent;
   s.net_delivered = ns.delivered;
@@ -242,15 +153,11 @@ ShardChaosResult run_sharded(std::uint64_t seed,
   return out;
 }
 
-}  // namespace
-
-ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
-                                      const ShardChaosConfig& config) {
-  const ProcessSet pool = make_universe(config.chaos.n_processes);
-  const ProcessSet& targets =
-      config.fault_targets.empty() ? pool : config.fault_targets;
-  if (config.shards == 0) return run_unsharded(seed, config, targets);
-  return run_sharded(seed, config, targets);
+tosys::ChaosStats run_chaos_seed(std::uint64_t seed,
+                                 const ShardChaosConfig& config) {
+  ShardChaosResult r = run_shard_chaos_seed(seed, config);
+  if (!r.ok) throw tosys::ChaosFailure(seed, r.failure);
+  return std::move(r.stats);
 }
 
 }  // namespace dvs::shard

@@ -1,5 +1,6 @@
 #include "shard/shard_cluster.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,20 +15,19 @@ constexpr std::uint64_t kPoolRngSalt = 0x706f6f6c00005eedULL;
 /// seed (the unsharded network's), shard k gets seed ^ ((k-1) * stride).
 constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
 
-/// Episode staging keys (see shard::transfer_stage_key): the snapshot is
-/// staged here, the commit marker lives at leaf "meta", and the installed
-/// journals (tosys::Cluster::storage_key) are only touched after the
-/// marker commits.
-std::string xfer_key(ProcessId slot, const char* leaf) {
-  return transfer_stage_key(slot, leaf);
-}
-
-Bytes load_or_empty(storage::StableStore& store, const std::string& key) {
-  std::optional<Bytes> v = store.load(key);
-  return v.has_value() ? std::move(*v) : Bytes{};
-}
-
 }  // namespace
+
+void roll_up_shard(obs::MetricsSnapshot& pool, std::uint32_t group,
+                   const obs::MetricsSnapshot& shard) {
+  pool += shard;
+  if (group == 0) return;
+  const std::string prefix = "shard." + std::to_string(group) + ".";
+  for (const auto& [key, v] : shard.counters) pool.counters[prefix + key] = v;
+  for (const auto& [key, v] : shard.gauges) pool.gauges[prefix + key] = v;
+  for (const auto& [key, v] : shard.histograms) {
+    pool.histograms[prefix + key] = v;
+  }
+}
 
 ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
     : config_(std::move(config)),
@@ -75,11 +75,10 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
                                          channel_seed);
     tosys::ClusterConfig cc = config_.base;
     cc.n_processes = a.replicas.size();
-    // initial_members is a prefix count over the column's local universe;
-    // only meaningful at K=1 (the equivalence configuration). With K > 1
-    // every provisioned replica starts as a member of its shard.
+    // initial_members is a prefix count over the column's local universe,
+    // clamped to the column (0 = every replica starts as a member).
     cc.initial_members =
-        config_.shards == 1 ? config_.base.initial_members : 0;
+        std::min(config_.base.initial_members, a.replicas.size());
     cc.sim = &sim_;
     cc.transport = s.port.get();
     GroupPort* port = s.port.get();
@@ -194,48 +193,9 @@ void ShardCluster::migration_barrier() {
   if (migration_crash_hook_) migration_crash_hook_(i);
 }
 
-void ShardCluster::migrate_slot(std::uint32_t group, ProcessId source_slot,
-                                const SlotMove& m) {
-  Shard& s = shards_[group - 1];
-  storage::StableStore* store = s.cluster->store();
-  // Snapshot the donor's journals. In-process the "transfer" is a staging
-  // copy inside the column's store (the simulated pool shares one address
-  // space); the real-transport daemon ships the same bytes as 0x48 frames.
-  migration_barrier();
-  SlotSnapshot snap;
-  snap.vs = load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "vs"));
-  snap.dvs =
-      load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "dvs"));
-  snap.to = load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "to"));
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "vs"), snap.vs);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "dvs"), snap.dvs);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "to"), snap.to);
-  // Commit point: a nonempty meta marker flips the episode from roll-back
-  // (staging is scratch, the move re-plans from the next view) to
-  // roll-forward (install_slot is idempotent and recovery re-runs it).
-  Writer w;
-  w.process_id(m.to);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "meta"), w.take());
-  install_slot(group, m.slot, m.to);
-}
-
-void ShardCluster::install_slot(std::uint32_t group, ProcessId slot,
-                                ProcessId to_pool) {
-  Shard& s = shards_[group - 1];
-  storage::StableStore* store = s.cluster->store();
-  migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "vs"),
-                 load_or_empty(*store, xfer_key(slot, "vs")));
-  migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "dvs"),
-                 load_or_empty(*store, xfer_key(slot, "dvs")));
-  migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "to"),
-                 load_or_empty(*store, xfer_key(slot, "to")));
+EpisodeHooks ShardCluster::episode_hooks(std::uint32_t group, ProcessId slot) {
+  EpisodeHooks hooks;
+  hooks.barrier = [this] { migration_barrier(); };
   // Volatile cutover, synchronous within the current simulator event so no
   // message can observe a half-moved slot: detach the departed process from
   // the group channel, re-point the slot, and crash-restart the column
@@ -243,18 +203,31 @@ void ShardCluster::install_slot(std::uint32_t group, ProcessId slot,
   // HANDOFF then tells the oracle the new incarnation adopted the donor's
   // delivery cursor (spec::EvHandoff — re-delivery is legal, invention is
   // not).
+  hooks.cutover = [this, group, slot](const MigrationMarker& m) {
+    Shard& s = shards_[group - 1];
+    s.port->remap(slot, m.to);
+    s.cluster->restart(slot);
+    s.cluster->column(slot).note_handoff(m.next);
+    assignments_[group - 1].replicas[slot.value()] = m.to;
+    router_.set_assignments(assignments_);
+    ++migrations_;
+    if (handoff_hook_) handoff_hook_(group, slot);
+  };
+  return hooks;
+}
+
+void ShardCluster::migrate_slot(std::uint32_t group, ProcessId source_slot,
+                                const SlotMove& m) {
+  tosys::Cluster& column = *shards_[group - 1].cluster;
+  // In-process the "transfer" is a staging copy inside the column's store
+  // (the simulated pool shares one address space); the real-transport
+  // daemon ships the same snapshot as 0x48 frames.
   migration_barrier();
-  s.port->remap(slot, to_pool);
-  s.cluster->restart(slot);
-  s.cluster->record_handoff(
-      slot, s.cluster->to_node(slot).automaton().nextreport());
-  assignments_[group - 1].replicas[slot.value()] = to_pool;
-  router_.set_assignments(assignments_);
-  ++migrations_;
-  if (handoff_hook_) handoff_hook_(group, slot);
-  // Clearing the marker is LAST: a crash anywhere above re-runs the install.
-  migration_barrier();
-  store->replace(xfer_key(slot, "meta"), Bytes{});
+  const SlotSnapshot snap =
+      snapshot_slot(*column.store(), source_slot,
+                    column.to_node(source_slot).automaton().nextreport());
+  run_episode(*column.store(), m.slot, m.to, snap,
+              episode_hooks(group, m.slot));
 }
 
 void ShardCluster::recover_migrations() {
@@ -262,17 +235,12 @@ void ShardCluster::recover_migrations() {
   // Roll forward every episode whose commit marker is present (the staged
   // journals are complete by construction of the marker order)...
   for (std::size_t k = 1; k <= shards_.size(); ++k) {
-    Shard& s = shards_[k - 1];
-    storage::StableStore* store = s.cluster->store();
+    const auto group = static_cast<std::uint32_t>(k);
     const std::size_t r = assignments_[k - 1].replicas.size();
     for (std::size_t i = 0; i < r; ++i) {
       const ProcessId slot(static_cast<std::uint32_t>(i));
-      const std::optional<Bytes> meta = store->load(xfer_key(slot, "meta"));
-      if (!meta.has_value() || meta->empty()) continue;
-      Reader rd(*meta);
-      const ProcessId to = rd.process_id();
-      rd.expect_exhausted();
-      install_slot(static_cast<std::uint32_t>(k), slot, to);
+      (void)recover_episode(*shards_[k - 1].cluster->store(), slot,
+                            episode_hooks(group, slot));
     }
   }
   // ...then re-plan from the live view: rolled-back moves are simply
@@ -292,8 +260,10 @@ std::string ShardCluster::violation_message() const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const auto& oracle = shards_[i].cluster->oracle();
     if (oracle.ok()) continue;
+    const std::string tail = oracle.tail();
     return "shard " + std::to_string(i + 1) + ": " +
-           oracle.violation()->to_string();
+           oracle.violation()->to_string() +
+           (tail.empty() ? "" : "\ntrace tail:\n" + tail);
   }
   return {};
 }
@@ -318,19 +288,8 @@ double ShardCluster::min_primary_fraction() const {
 obs::MetricsSnapshot ShardCluster::metrics_snapshot() {
   obs::MetricsSnapshot out = pool_metrics_.snapshot();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard." + std::to_string(i + 1) + ".";
-    const obs::MetricsSnapshot s = shards_[i].cluster->metrics_snapshot();
-    for (const auto& [key, v] : s.counters) {
-      out.counters[prefix + key] = v;
-      out.counters["pool." + key] += v;
-    }
-    for (const auto& [key, v] : s.gauges) {
-      out.gauges[prefix + key] = v;
-      out.gauges["pool." + key] += v;
-    }
-    for (const auto& [key, v] : s.histograms) {
-      out.histograms[prefix + key] = v;
-    }
+    roll_up_shard(out, static_cast<std::uint32_t>(i + 1),
+                  shards_[i].cluster->metrics_snapshot());
   }
   return out;
 }

@@ -15,13 +15,12 @@
 // acceptance and Invariants 4.1/4.2 are checked independently per group_id,
 // and a violation names its shard.
 //
-// Determinism contract (pinned by tests/shard/test_single_shard_equivalence):
-// at K=1 with full replication, shard 1's channel Rng is seeded exactly like
-// the unsharded cluster's network Rng, the GroupPort id map is the identity,
-// and no shard-visible state reads pool-level state — so delivery orders,
-// verdicts and SLO reports are byte-identical to the unsharded stack. Pool
-// traffic shares the simulator but draws from its own salted Rng and
-// touches only pool state.
+// K=1 with full replication IS the unsharded simulation: shard 1's channel
+// Rng is seeded exactly like a standalone tosys::Cluster's network Rng, the
+// GroupPort id map is the identity, and no shard-visible state reads
+// pool-level state — so delivery orders, verdicts and SLO reports are those
+// of one standalone column. Pool traffic shares the simulator but draws
+// from its own salted Rng and touches only pool state.
 //
 // Reconfiguration isolation (tests/shard/test_shard_isolation): faults are
 // injected per pool process on the shared network; a shard whose replicas
@@ -69,12 +68,20 @@ struct ShardClusterConfig {
   bool dynamic = false;
   /// Template for the pool and every shard column: n_processes is the POOL
   /// size; net/vs/to/persistence/observability knobs apply to each shard
-  /// column (and base.net to the shared network). initial_members is
-  /// honored only at shards == 1 (the equivalence configuration); with
-  /// K > 1 every provisioned replica is an initial member of its shard.
-  /// base.sim/base.transport must be null — the pool owns both.
+  /// column (and base.net to the shared network). initial_members counts
+  /// the initial members of each column's local universe (clamped to the
+  /// column; the pool group always starts whole). base.sim/base.transport
+  /// must be null — the pool owns both.
   tosys::ClusterConfig base;
 };
+
+/// The one shard-metrics rollup (ShardCluster::metrics_snapshot and dvsd's
+/// `stats` verb): adds shard `group`'s snapshot into `pool`. Counters,
+/// gauges and histograms sum under their bare key across shards, and a
+/// shard (group >= 1) also keeps its own values under `shard.<group>.`.
+/// Group 0 is an unsharded node's single column, which is the whole pool.
+void roll_up_shard(obs::MetricsSnapshot& pool, std::uint32_t group,
+                   const obs::MetricsSnapshot& shard);
 
 class ShardCluster {
  public:
@@ -123,7 +130,8 @@ class ShardCluster {
 
   /// All shards' oracles clean?
   [[nodiscard]] bool oracle_ok() const;
-  /// First violation (lowest shard id), named with its shard; empty when
+  /// First violation (lowest shard id), named with its shard and followed
+  /// by that shard's recorded trace tail (when traces are kept); empty when
   /// clean.
   [[nodiscard]] std::string violation_message() const;
   /// Re-checks DVS Invariants 4.1/4.2 on every shard's oracle.
@@ -169,9 +177,8 @@ class ShardCluster {
     handoff_hook_ = std::move(hook);
   }
 
-  /// Per-shard snapshots with `shard.<k>.` key prefixes, pool-level
-  /// `pool.<key>` counter/gauge rollups (summed across shards), and the
-  /// shared network's own net.*/arena.* counters once at pool level.
+  /// Every shard rolled up (roll_up_shard) over the pool-level pool.*
+  /// counters and the shared network's own net.*/arena.* counters.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot();
 
  private:
@@ -187,10 +194,11 @@ class ShardCluster {
   void maybe_reprovision();
   void migrate_slot(std::uint32_t group, ProcessId source_slot,
                     const SlotMove& m);
-  /// The roll-forward half of an episode: staged journals → live keys,
-  /// port remap, column restart, HANDOFF record, meta clear. Idempotent —
-  /// recovery re-runs it when the commit marker is present.
-  void install_slot(std::uint32_t group, ProcessId slot, ProcessId to_pool);
+  /// This pool's half of slot `slot`'s migration episode: the crash-hook
+  /// barrier and the volatile cutover (port remap, column restart, HANDOFF,
+  /// map patch).
+  [[nodiscard]] EpisodeHooks episode_hooks(std::uint32_t group,
+                                           ProcessId slot);
   void migration_barrier();
 
   ShardClusterConfig config_;

@@ -59,13 +59,14 @@ void Wal::snapshot(std::uint8_t type,
 
 WalContents read_wal(const Bytes& log) {
   WalContents out;
-  std::size_t offset = 0;
-  while (offset < log.size()) {
-    // Decode one record from log[offset..]; any framing failure (bad magic,
-    // truncation mid-record, CRC mismatch) ends the clean prefix.
-    Bytes tail(log.begin() + static_cast<std::ptrdiff_t>(offset), log.end());
+  // One reader over the whole log; each record's CRC is computed in place
+  // over [start, end of payload), so decoding stays linear in the log size.
+  Reader r(log);
+  while (!r.exhausted()) {
+    // Any framing failure (bad magic, truncation mid-record, CRC mismatch)
+    // ends the clean prefix.
+    const std::size_t start = log.size() - r.remaining();
     try {
-      Reader r(tail);
       const std::uint8_t magic = r.u8();
       if (magic != kWalMagic) {
         out.corrupt_tail = true;
@@ -74,16 +75,15 @@ WalContents read_wal(const Bytes& log) {
       WalRecord rec;
       rec.type = r.u8();
       rec.payload = r.bytes_field();
-      const std::size_t covered = tail.size() - r.remaining();
-      const std::uint32_t want = crc32(tail.data(), covered);
+      const std::size_t covered = log.size() - r.remaining() - start;
+      const std::uint32_t want = crc32(log.data() + start, covered);
       const std::uint32_t got = r.u32();
       if (want != got) {
         out.corrupt_tail = true;
         break;
       }
-      offset += covered + 4;
       out.records.push_back(std::move(rec));
-      out.bytes_consumed = offset;
+      out.bytes_consumed = log.size() - r.remaining();
     } catch (const DecodeError&) {
       out.corrupt_tail = true;
       break;

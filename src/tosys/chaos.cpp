@@ -1,11 +1,5 @@
 #include "tosys/chaos.h"
 
-#include <vector>
-
-#include "common/rng.h"
-#include "obs/stack_tracer.h"
-#include "tosys/cluster.h"
-
 namespace dvs::tosys {
 
 ChaosStats& operator+=(ChaosStats& a, const ChaosStats& b) {
@@ -30,132 +24,6 @@ ChaosStats& operator+=(ChaosStats& a, const ChaosStats& b) {
   a.wal_bytes += b.wal_bytes;
   a.metrics += b.metrics;
   return a;
-}
-
-namespace {
-
-std::string failure_message(std::uint64_t seed, const ChaosConfig& config,
-                            const net::FaultPlan& plan,
-                            const spec::TraceRecorder& oracle) {
-  std::string out = "chaos seed " + std::to_string(seed) +
-                    " (n=" + std::to_string(config.n_processes) +
-                    "): " + oracle.violation()->to_string();
-  out += "\nfault plan (replay with net::FaultPlan::parse):\n";
-  out += plan.to_string();
-  const std::string tail = oracle.tail();
-  if (!tail.empty()) out += "trace tail:\n" + tail;
-  return out;
-}
-
-}  // namespace
-
-ChaosStats run_chaos_seed(std::uint64_t seed, const ChaosConfig& config) {
-  ClusterConfig cc;
-  cc.n_processes = config.n_processes;
-  cc.initial_members = config.initial_members;
-  cc.net.drop_probability = config.drop_probability;
-  cc.net.duplicate_probability = config.duplicate_probability;
-  cc.net.max_duplicates = config.max_duplicates;
-  cc.net.reorder_probability = config.reorder_probability;
-  cc.net.reorder_window = config.reorder_window;
-  cc.net.truncate_probability = config.truncate_probability;
-  cc.net.batching = config.batching;
-  cc.net.payload_arena = config.payload_arena;
-  cc.vs.stability = config.watermarks ? vsys::StabilityMode::kWatermark
-                                      : vsys::StabilityMode::kExplicitAck;
-  cc.record_traces = true;
-  cc.conformance_oracle = true;
-  cc.to_options = config.to_options;
-  // Restart adversaries need somewhere to recover from.
-  cc.persistence = config.persistence || config.crashes_restart ||
-                   config.plan.w_restart > 0;
-  Cluster cluster(cc, seed);
-
-  const net::FaultPlan plan =
-      net::FaultPlan::random(seed, cluster.universe(), config.plan);
-  net::FaultPlan::ScheduleHooks hooks;
-  hooks.crashes_restart = config.crashes_restart;
-  if (cc.persistence) {
-    hooks.restart = [&cluster](ProcessId p) { cluster.restart(p); };
-  }
-  plan.schedule(cluster.sim(), cluster.net(), hooks);
-
-  // Client load at seeded times across the horizon, decorrelated from both
-  // the cluster's network rng and the plan generator so the three sources
-  // of randomness never lock step.
-  Rng load(seed ^ 0xb0adca5700150adULL);
-  const std::vector<ProcessId> procs(cluster.universe().begin(),
-                                     cluster.universe().end());
-  std::uint64_t uid = 1;
-  for (std::size_t i = 0; i < config.broadcasts; ++i) {
-    const auto at = static_cast<sim::Time>(
-        1 + load.below(static_cast<std::size_t>(config.plan.horizon)));
-    const ProcessId p = procs[load.below(procs.size())];
-    cluster.sim().schedule_at(at, [&cluster, p, m = AppMsg{uid++, p, "x"}] {
-      cluster.bcast(p, m);
-    });
-  }
-
-  // Mid-run Invariant 4.1/4.2 checks against the oracle's resolved DVS
-  // state — a transiently bad state between events is caught even if the
-  // event stream itself stays acceptable.
-  if (config.invariant_check_period > 0) {
-    for (sim::Time t = config.invariant_check_period; t < config.plan.horizon;
-         t += config.invariant_check_period) {
-      cluster.sim().schedule_at(
-          t, [&cluster] { (void)cluster.oracle().check_invariants(); });
-    }
-  }
-
-  cluster.start();
-  cluster.run_for(config.plan.horizon);
-
-  // Recovery phase: full connectivity back, everyone resumed, and time to
-  // converge — the oracle watches the repair traffic too.
-  cluster.net().heal();
-  for (ProcessId p : cluster.universe()) cluster.net().resume(p);
-  cluster.run_for(config.settle);
-  (void)cluster.oracle().check_invariants();
-
-  if (!cluster.oracle().ok()) {
-    throw ChaosFailure(seed,
-                       failure_message(seed, config, plan, cluster.oracle()));
-  }
-
-  ChaosStats s;
-  s.events_checked = cluster.oracle().events_checked();
-  s.invariant_checks = cluster.oracle().invariant_checks();
-  s.broadcasts = config.broadcasts;
-  s.deliveries = cluster.deliveries().size();
-  s.fault_events = plan.events.size();
-  for (ProcessId p : cluster.universe()) {
-    const auto& vstats = cluster.vs_node(p).stats();
-    s.views_installed += vstats.views_installed;
-    s.decode_errors += vstats.decode_errors;
-    s.duplicates_suppressed += vstats.duplicates_suppressed;
-  }
-  const net::NetStats& ns = cluster.net().stats();
-  s.net_sent = ns.sent;
-  s.net_delivered = ns.delivered;
-  s.duplicated = ns.duplicated;
-  s.reordered = ns.reordered;
-  s.truncated = ns.truncated;
-  s.datagrams = ns.datagrams;
-  s.batches = ns.batches;
-  s.batched_msgs = ns.batched_msgs;
-  s.restarts = cluster.restarts();
-  if (cluster.store() != nullptr) {
-    const storage::StorageStats& ss = cluster.store()->stats();
-    s.wal_appends = ss.appends;
-    s.wal_bytes = ss.bytes_written();
-  }
-  // End-of-run span-invariant check travels inside the snapshot (all-zero
-  // on a conforming run) alongside every layer's counters and the tracer's
-  // latency histograms.
-  obs::publish_span_invariants(obs::check_span_invariants(cluster.trace()),
-                               cluster.metrics());
-  s.metrics = cluster.metrics_snapshot();
-  return s;
 }
 
 }  // namespace dvs::tosys

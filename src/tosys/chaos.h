@@ -1,23 +1,9 @@
-// Chaos harness: FaultPlan-driven adversarial executions of the full
-// distributed stack (SimNetwork → VsNode → DvsNode → ToNode) with the
-// spec-conformance oracles attached.
-//
-// One chaos run builds a Cluster with every network anomaly armed
-// (loss, duplication, bounded reordering, payload truncation), generates a
-// FaultPlan from the seed, schedules a deterministic client broadcast load
-// across the fault horizon, and lets the stack fight through it. The
-// always-on TraceRecorder oracle checks every externally visible action
-// against the Figure 1/2/5 specifications as it happens, and Invariants
-// 4.1/4.2 are re-checked periodically against the DVS acceptor's resolved
-// state. After the horizon the network heals, everyone resumes, and the run
-// settles — recovery paths are exercised, not just degradation.
-//
-// A violation throws ChaosFailure whose message embeds the seed, the full
-// replayable FaultPlan text (net::FaultPlan::parse round-trips it) and the
-// tail of the recorded traces. Everything is deterministic in the seed:
-// `model_checker --chaos` fans seeds across threads (parallel chaos sweep)
-// and reports the lowest failing seed, which reproduces identically with
-// --jobs 1.
+// Chaos harness vocabulary: the configuration, counters and failure type of
+// one FaultPlan-driven adversarial execution of the full distributed stack
+// (SimNetwork → VsNode → DvsNode → ToNode) with the spec-conformance
+// oracles attached. The driver itself is shard::run_shard_chaos_seed
+// (shard/shard_chaos.h), which runs the stack as K shard columns over one
+// pool — K=1 being the unsharded stack.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +99,7 @@ struct ChaosStats {
   std::uint64_t wal_appends = 0;         // journal records appended
   std::uint64_t wal_bytes = 0;           // bytes written to stable storage
 
-  /// Full end-of-run metric export of the cluster (every layer's counters,
+  /// Full end-of-run metric export of the pool (every layer's counters,
   /// the tracer's latency histograms and the span-invariant counters).
   /// Deterministic per seed; operator+= merges key-wise, so sweep totals
   /// are byte-identical for any --jobs value.
@@ -136,10 +122,5 @@ class ChaosFailure : public std::runtime_error {
  private:
   std::uint64_t seed_;
 };
-
-/// Runs one seeded chaos execution to completion and returns its counters;
-/// throws ChaosFailure on any oracle rejection or invariant violation.
-[[nodiscard]] ChaosStats run_chaos_seed(std::uint64_t seed,
-                                        const ChaosConfig& config = {});
 
 }  // namespace dvs::tosys

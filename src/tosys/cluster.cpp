@@ -36,29 +36,13 @@ Cluster::Cluster(ClusterConfig config, std::uint64_t seed)
     store_ = config_.store != nullptr ? config_.store : owned_store_.get();
   }
 
-  for (ProcessId p : universe_) {
-    const bool member = v0_.contains(p);
-    // Build bottom-up; callbacks are wired after all layers exist.
-    vs_[p] = std::make_unique<vsys::VsNode>(
-        p, member ? std::optional<View>{v0_} : std::nullopt, *transport_,
-        sim_, config_.vs, vsys::VsCallbacks{});
-    dvs_[p] = std::make_unique<dvsys::DvsNode>(
-        p, v0_, *vs_[p], dvsys::DvsCallbacks{},
-        dvsys::DvsNodeOptions{.auto_gc = config_.gc_enabled,
-                              .weights = config_.weights});
-    to_[p] = std::make_unique<ToNode>(
-        p, v0_, *dvs_[p], ToCallbacks{},
-        ToNodeOptions{.auto_register = config_.registration_enabled,
-                      .automaton = config_.to_options});
-  }
   // Observability: one registry for every layer's counters plus the causal
-  // span tracer, driven from the same callback wrappers as the oracle.
+  // span tracer, driven by the same column observer as the oracle.
   if (config_.observability) {
     tracer_ = std::make_unique<obs::StackTracer>(metrics_, trace_);
     // An injected transport belongs to the host, which binds its metrics
     // once at pool level (per-column net.* counters would double-count).
     if (net_ != nullptr) net_->bind_metrics(metrics_);
-    for (ProcessId p : universe_) bind_process_metrics(p);
     if (store_ != nullptr) {
       // Cluster-wide persistence counters; this collector references the
       // store and the cluster, never a node, so it survives restarts.
@@ -74,115 +58,63 @@ Cluster::Cluster(ClusterConfig config, std::uint64_t seed)
       });
     }
   }
-  for (ProcessId p : universe_) wire_process(p);
-  if (store_ != nullptr) {
-    for (ProcessId p : universe_) attach_process_storage(p);
+  for (ProcessId p : universe_) build_column(p, /*recover=*/false);
+}
+
+void Cluster::build_column(ProcessId p, bool recover) {
+  ColumnObserver& observer = *this;
+  columns_[p] = std::make_unique<ProcessColumn>(
+      p, v0_, *transport_, sim_, config_, observer, store_, recover);
+  if (config_.observability) {
+    collector_ids_[p] = columns_.at(p)->bind_metrics(metrics_);
   }
 }
 
-std::string Cluster::storage_key(ProcessId p, const char* layer) {
-  return p.to_string() + "/" + layer;
+bool Cluster::wants_messages() const {
+  return config_.record_traces || config_.conformance_oracle;
 }
 
-void Cluster::attach_process_storage(ProcessId p) {
-  vs_.at(p)->attach_storage(*store_, storage_key(p, "vs"));
-  dvs_.at(p)->attach_storage(*store_, storage_key(p, "dvs"));
-  to_.at(p)->attach_storage(*store_, storage_key(p, "to"));
+// The recorder stores the traces and/or feeds the spec acceptors online
+// (the conformance oracle), per its options; the span tracer turns the same
+// actions into latency spans.
+void Cluster::on_vs(const spec::VsEvent& event) {
+  recorder_.record(event);
+  if (!tracer_) return;
+  if (const auto* nv = std::get_if<spec::EvNewview>(&event)) {
+    tracer_->on_vs_newview(nv->p, nv->v, sim_.now());
+  }
 }
 
-void Cluster::bind_process_metrics(ProcessId p) {
-  auto& ids = collector_ids_[p];
-  ids.push_back(vs_.at(p)->bind_metrics(metrics_));
-  ids.push_back(dvs_.at(p)->bind_metrics(metrics_));
-  ids.push_back(to_.at(p)->bind_metrics(metrics_));
+void Cluster::on_dvs(const spec::DvsEvent& event) {
+  recorder_.record(event);
+  if (!tracer_) return;
+  if (const auto* nv = std::get_if<spec::EvNewview>(&event)) {
+    tracer_->on_dvs_newview(nv->p, nv->v, sim_.now());
+  } else if (const auto* reg = std::get_if<spec::EvRegister>(&event)) {
+    // Observed before the automaton consumes the event, so client-cur
+    // still names the view being registered.
+    const std::optional<View>& v = columns_.at(reg->p)->dvs().primary_view();
+    if (v.has_value()) tracer_->on_register(reg->p, *v, sim_.now());
+  }
 }
 
-void Cluster::wire_process(ProcessId p) {
-  // Every layer's external actions are observed; the recorder stores the
-  // traces and/or feeds the spec acceptors online (the conformance oracle),
-  // and the span tracer turns the same actions into latency spans, per
-  // their options.
-  const bool observe = config_.record_traces || config_.conformance_oracle;
-  {
-    dvsys::DvsNode* dvs_node = dvs_.at(p).get();
-    ToNode* to_node = to_.at(p).get();
-
-    // TO layer on top of DVS.
-    ToCallbacks to_cb;
-    to_cb.on_brcv = [this, p, observe](const AppMsg& a, ProcessId origin) {
-      const Delivery d{p, origin, a, sim_.now()};
-      deliveries_.push_back(d);
-      if (observe) {
-        recorder_.record(spec::ToEvent{spec::EvBrcv{origin, p, a}});
-      }
-      if (tracer_) tracer_->on_brcv(p, origin, a.uid, sim_.now());
-      if (delivery_hook_) delivery_hook_(d);
-    };
-    to_node->set_callbacks(std::move(to_cb));
-
-    // DVS layer on top of VS, forwarding into the TO automaton.
-    dvsys::DvsCallbacks dvs_cb = to_node->dvs_callbacks();
-    if (observe || tracer_) {
-      auto fwd_newview = std::move(dvs_cb.on_newview);
-      dvs_cb.on_newview = [this, p, observe, fwd_newview](const View& v) {
-        if (observe) recorder_.record(spec::DvsEvent{spec::EvNewview{p, v}});
-        if (tracer_) tracer_->on_dvs_newview(p, v, sim_.now());
-        if (fwd_newview) fwd_newview(v);
-      };
-      dvs_cb.on_register = [this, p, observe, dvs_node] {
-        if (observe) recorder_.record(spec::DvsEvent{spec::EvRegister{p}});
-        // on_register fires before the automaton consumes the event, so
-        // client-cur still names the view being registered.
-        if (tracer_ && dvs_node->primary_view().has_value()) {
-          tracer_->on_register(p, *dvs_node->primary_view(), sim_.now());
-        }
-      };
+void Cluster::on_to(const spec::ToEvent& event) {
+  if (const auto* brcv = std::get_if<spec::EvBrcv>(&event)) {
+    const Delivery d{brcv->receiver, brcv->sender, brcv->a, sim_.now()};
+    deliveries_.push_back(d);
+    recorder_.record(event);
+    if (tracer_) {
+      tracer_->on_brcv(d.receiver, d.origin, d.msg.uid, sim_.now());
     }
-    if (observe) {
-      auto fwd_gprcv = std::move(dvs_cb.on_gprcv);
-      dvs_cb.on_gprcv = [this, p, fwd_gprcv](const ClientMsg& m,
-                                             ProcessId from) {
-        recorder_.record(spec::DvsEvent{spec::EvGprcv<ClientMsg>{from, p, m}});
-        if (fwd_gprcv) fwd_gprcv(m, from);
-      };
-      auto fwd_safe = std::move(dvs_cb.on_safe);
-      dvs_cb.on_safe = [this, p, fwd_safe](const ClientMsg& m,
-                                           ProcessId from) {
-        recorder_.record(spec::DvsEvent{spec::EvSafe<ClientMsg>{from, p, m}});
-        if (fwd_safe) fwd_safe(m, from);
-      };
-      dvs_cb.on_gpsnd = [this, p](const ClientMsg& m) {
-        recorder_.record(spec::DvsEvent{spec::EvGpsnd<ClientMsg>{p, m}});
-      };
-    }
-    dvs_node->set_callbacks(std::move(dvs_cb));
-
-    // VS layer, forwarding into the DVS automaton.
-    vsys::VsCallbacks vs_cb = dvs_node->vs_callbacks();
-    if (observe || tracer_) {
-      auto fwd_newview = std::move(vs_cb.on_newview);
-      vs_cb.on_newview = [this, p, observe, fwd_newview](const View& v) {
-        if (observe) recorder_.record(spec::VsEvent{spec::EvNewview{p, v}});
-        if (tracer_) tracer_->on_vs_newview(p, v, sim_.now());
-        if (fwd_newview) fwd_newview(v);
-      };
-    }
-    if (observe) {
-      auto fwd_gprcv = std::move(vs_cb.on_gprcv);
-      vs_cb.on_gprcv = [this, p, fwd_gprcv](const Msg& m, ProcessId from) {
-        recorder_.record(spec::VsEvent{spec::EvGprcv<Msg>{from, p, m}});
-        if (fwd_gprcv) fwd_gprcv(m, from);
-      };
-      auto fwd_safe = std::move(vs_cb.on_safe);
-      vs_cb.on_safe = [this, p, fwd_safe](const Msg& m, ProcessId from) {
-        recorder_.record(spec::VsEvent{spec::EvSafe<Msg>{from, p, m}});
-        if (fwd_safe) fwd_safe(m, from);
-      };
-      vs_cb.on_gpsnd = [this, p](const Msg& m) {
-        recorder_.record(spec::VsEvent{spec::EvGpsnd<Msg>{p, m}});
-      };
-    }
-    vs_.at(p)->set_callbacks(std::move(vs_cb));
+    if (delivery_hook_) delivery_hook_(d);
+    return;
+  }
+  recorder_.record(event);
+  if (!tracer_) return;
+  if (const auto* bcast = std::get_if<spec::EvBcast>(&event)) {
+    tracer_->on_bcast(bcast->p, bcast->a.uid, sim_.now());
+  } else if (const auto* crash = std::get_if<spec::EvCrash>(&event)) {
+    tracer_->on_restart(crash->p, sim_.now());
   }
 }
 
@@ -190,7 +122,7 @@ void Cluster::start() {
   // Members of v0 begin inside an active view without any DVS-NEWVIEW
   // event; open their initial view_active spans.
   if (tracer_) tracer_->on_start(v0_, sim_.now());
-  for (ProcessId p : universe_) vs_.at(p)->start();
+  for (ProcessId p : universe_) columns_.at(p)->start();
 }
 
 void Cluster::restart(ProcessId p) {
@@ -198,63 +130,21 @@ void Cluster::restart(ProcessId p) {
     throw std::logic_error("Cluster::restart requires persistence");
   }
   ++restarts_;
-  if (tracer_) tracer_->on_restart(p, sim_.now());
-  // Tell the TO oracle: broadcasts p accepted but had not yet ordered lose
-  // their FIFO position — the crash may drop them, or a surviving replica
-  // may order them late (spec::EvCrash).
-  recorder_.record(spec::ToEvent{spec::EvCrash{p}});
   // The stale collectors hold raw pointers into the dying incarnation.
   for (std::size_t id : collector_ids_[p]) metrics_.remove_collector(id);
   collector_ids_[p].clear();
-  // Tear down top-down (TO references DVS references VS). The old ticker's
-  // in-flight events no-op (PeriodicTimer liveness flag); in-flight
-  // datagrams resolve the handler at delivery time, so they arrive at the
-  // new incarnation — where the epoch floor makes stale view traffic
-  // harmless.
-  to_.erase(p);
-  dvs_.erase(p);
-  vs_.erase(p);
-  // Recover the durable state from stable storage...
-  const std::uint64_t epoch =
-      vsys::VsNode::recover_epoch(*store_, storage_key(p, "vs"));
-  const impl::DvsDurableState dvs_state =
-      dvsys::DvsNode::recover(*store_, storage_key(p, "dvs"), p, v0_);
-  const toimpl::ToDurableState to_state =
-      ToNode::recover(*store_, storage_key(p, "to"));
-  // ...and rebuild bottom-up. The new incarnation has no view (it rejoins
-  // through the membership protocol) but remembers everything it persisted.
-  vs_[p] = std::make_unique<vsys::VsNode>(p, std::nullopt, *transport_, sim_,
-                                          config_.vs, vsys::VsCallbacks{});
-  vs_.at(p)->restore_epoch(epoch);
-  dvs_[p] = std::make_unique<dvsys::DvsNode>(
-      p, v0_, *vs_[p], dvsys::DvsCallbacks{},
-      dvsys::DvsNodeOptions{.auto_gc = config_.gc_enabled,
-                            .weights = config_.weights});
-  dvs_.at(p)->restore(dvs_state);
-  to_[p] = std::make_unique<ToNode>(
-      p, v0_, *dvs_[p], ToCallbacks{},
-      ToNodeOptions{.auto_register = config_.registration_enabled,
-                    .automaton = config_.to_options});
-  to_.at(p)->restore(to_state);
-  wire_process(p);
-  // Re-attach the journals: the baseline snapshots double as compaction of
-  // whatever the previous incarnation left behind.
-  attach_process_storage(p);
-  if (config_.observability) bind_process_metrics(p);
-  vs_.at(p)->start();  // re-attaches the net handler, arms a fresh ticker
+  // The old ticker's in-flight events no-op (PeriodicTimer liveness flag);
+  // in-flight datagrams resolve the handler at delivery time, so they
+  // arrive at the new incarnation — where the epoch floor makes stale view
+  // traffic harmless. The rebuilt column reports CRASH_p, which releases
+  // the TO oracle's FIFO hold on p's unordered broadcasts (spec::EvCrash)
+  // and closes p's spans in the tracer.
+  columns_.erase(p);
+  build_column(p, /*recover=*/true);
+  columns_.at(p)->start();  // attaches the net handler, arms a fresh ticker
 }
 
-void Cluster::record_handoff(ProcessId p, std::uint64_t next) {
-  recorder_.record(spec::ToEvent{spec::EvHandoff{p, next}});
-}
-
-void Cluster::bcast(ProcessId p, AppMsg a) {
-  if (config_.record_traces || config_.conformance_oracle) {
-    recorder_.record(spec::ToEvent{spec::EvBcast{p, a}});
-  }
-  if (tracer_) tracer_->on_bcast(p, a.uid, sim_.now());
-  to_.at(p)->bcast(a);
-}
+void Cluster::bcast(ProcessId p, AppMsg a) { columns_.at(p)->bcast(a); }
 
 void Cluster::run_for(sim::Time duration) {
   sim_.run_until(sim_.now() + duration);
@@ -293,11 +183,11 @@ net::SimNetwork& Cluster::net() {
 
 double Cluster::primary_fraction() const {
   std::size_t in_primary = 0;
-  for (const auto& [p, node] : dvs_) {
+  for (const auto& [p, column] : columns_) {
     const bool paused = net_ != nullptr ? net_->paused(p)
                         : config_.paused_probe ? config_.paused_probe(p)
                                                : false;
-    if (node->in_primary() && !paused) ++in_primary;
+    if (column->dvs().in_primary() && !paused) ++in_primary;
   }
   return static_cast<double>(in_primary) /
          static_cast<double>(universe_.size());

@@ -1,7 +1,8 @@
 // Cluster: assembles the full distributed stack for one simulated run —
-// simulator + partitionable network + per-process VS / DVS / TO nodes —
-// and records the external traces of every layer so tests can replay them
-// through the specification acceptors (experiment E8 of DESIGN.md).
+// simulator + partitionable network + one ProcessColumn (VS / DVS / TO) per
+// process — and records the external traces of every layer so tests can
+// replay them through the specification acceptors (experiment E8 of
+// DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -24,18 +25,20 @@
 #include "spec/events.h"
 #include "spec/trace_recorder.h"
 #include "storage/stable_store.h"
+#include "tosys/process_column.h"
 #include "tosys/to_node.h"
 #include "vsys/vs_node.h"
 
 namespace dvs::tosys {
 
-struct ClusterConfig {
+/// Per-run configuration; the inherited ColumnOptions apply to every
+/// process's column.
+struct ClusterConfig : ColumnOptions {
   std::size_t n_processes = 3;
   /// Number of processes in the initial view v0 (the first k ids);
   /// 0 means all of them.
   std::size_t initial_members = 0;
   net::NetConfig net;
-  vsys::VsConfig vs;
   /// Record per-layer external traces (costs memory on long runs).
   bool record_traces = true;
   /// Feed every external event through the spec acceptors as it happens
@@ -44,24 +47,12 @@ struct ClusterConfig {
   /// replays millions of events/s), so it defaults on; benchmarks that want
   /// the raw stack can disable it together with record_traces.
   bool conformance_oracle = true;
-  /// TO-automaton behaviour switches, e.g. printed_figure_mode to
-  /// re-inject the paper's Figure 5 errata (harness self-validation: the
-  /// oracle must reject such runs).
-  toimpl::DvsToToOptions to_options;
-  /// Ablation knobs (see bench_ablation): the paper's garbage-collection
-  /// and registration mechanisms can be switched off to measure their
-  /// contribution to adaptivity.
-  bool gc_enabled = true;
-  bool registration_enabled = true;
   /// Always-on observability: every layer's stats publish into one
   /// obs::MetricsRegistry and the stack's external actions become causal
   /// spans in an obs::TraceLog (see obs::StackTracer). Cheap — counters are
   /// struct-backed and scraped only at snapshot time — but benchmarks that
   /// want the raw stack can disable it.
   bool observability = true;
-  /// Vote weights for weighted dynamic voting (empty = the paper's
-  /// unweighted rule).
-  WeightMap weights;
   /// Crash-restart persistence: every layer journals its durable state
   /// (write-ahead, synchronous within the simulator event) into a stable
   /// store, and Cluster::restart(p) can tear a process down and rebuild it
@@ -101,7 +92,7 @@ struct Delivery {
   sim::Time at;
 };
 
-class Cluster {
+class Cluster : private ColumnObserver {
  public:
   Cluster(ClusterConfig config, std::uint64_t seed);
 
@@ -114,13 +105,15 @@ class Cluster {
   [[nodiscard]] net::SimNetwork& net();
   /// The transport every node sends through (owned SimNetwork or injected).
   [[nodiscard]] net::Transport& transport() { return *transport_; }
-  [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] const ProcessSet& universe() const { return universe_; }
   [[nodiscard]] const View& v0() const { return v0_; }
 
-  [[nodiscard]] vsys::VsNode& vs_node(ProcessId p) { return *vs_.at(p); }
-  [[nodiscard]] dvsys::DvsNode& dvs_node(ProcessId p) { return *dvs_.at(p); }
-  [[nodiscard]] ToNode& to_node(ProcessId p) { return *to_.at(p); }
+  [[nodiscard]] ProcessColumn& column(ProcessId p) { return *columns_.at(p); }
+  [[nodiscard]] vsys::VsNode& vs_node(ProcessId p) { return column(p).vs(); }
+  [[nodiscard]] dvsys::DvsNode& dvs_node(ProcessId p) {
+    return column(p).dvs();
+  }
+  [[nodiscard]] ToNode& to_node(ProcessId p) { return column(p).to(); }
 
   /// Client broadcast at p (recorded in the TO trace).
   void bcast(ProcessId p, AppMsg a);
@@ -153,19 +146,6 @@ class Cluster {
   /// Tests install barrier hooks on it to enumerate crash points.
   [[nodiscard]] storage::StableStore* store() { return store_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-
-  /// Journal key of p's `layer` record ("vs" | "dvs" | "to") in the stable
-  /// store. Public so shard re-provisioning (src/shard/reprovision.h) can
-  /// copy a column's durable state between slots with the same encodings
-  /// Cluster itself journals and recovers.
-  [[nodiscard]] static std::string storage_key(ProcessId p,
-                                               const char* layer);
-
-  /// Records HANDOFF(next)_p in the TO trace / oracle: p's slot has been
-  /// re-provisioned onto a host that adopted a survivor's durable state
-  /// (see spec::EvHandoff). Call right after restart(p) completes the
-  /// rebuild from the transferred journals.
-  void record_handoff(ProcessId p, std::uint64_t next);
 
   // ----- recorded traces and checks ------------------------------------------
 
@@ -216,16 +196,15 @@ class Cluster {
   [[nodiscard]] std::string trace_json() const { return trace_.to_json(); }
 
  private:
-  /// Installs the callback wrappers (oracle + tracer + layer forwarding)
-  /// on p's freshly built node stack. Shared between construction and
-  /// restart().
-  void wire_process(ProcessId p);
-  /// Attaches every layer's journal for p (baseline snapshots double as
-  /// compaction after a restart).
-  void attach_process_storage(ProcessId p);
-  /// bind_metrics for p's three nodes, remembering the collector ids so
-  /// restart() can drop the stale collectors.
-  void bind_process_metrics(ProcessId p);
+  // ColumnObserver: the oracle, the span tracer and the delivery log hear
+  // every column's external actions.
+  [[nodiscard]] bool wants_messages() const override;
+  void on_vs(const spec::VsEvent& event) override;
+  void on_dvs(const spec::DvsEvent& event) override;
+  void on_to(const spec::ToEvent& event) override;
+
+  /// Builds p's column (fresh or recovered) and binds its metrics.
+  void build_column(ProcessId p, bool recover);
 
   ClusterConfig config_;
   Rng rng_;
@@ -240,9 +219,7 @@ class Cluster {
   net::Transport* transport_ = nullptr;   // = net_.get() when owned
   std::unique_ptr<storage::MemStableStore> owned_store_;
   storage::StableStore* store_ = nullptr;  // null = persistence off
-  std::map<ProcessId, std::unique_ptr<vsys::VsNode>> vs_;
-  std::map<ProcessId, std::unique_ptr<dvsys::DvsNode>> dvs_;
-  std::map<ProcessId, std::unique_ptr<ToNode>> to_;
+  std::map<ProcessId, std::unique_ptr<ProcessColumn>> columns_;
   std::map<ProcessId, std::vector<std::size_t>> collector_ids_;
   std::uint64_t restarts_ = 0;
 

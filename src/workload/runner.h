@@ -1,12 +1,13 @@
-// Scenario execution: drives the full distributed stack (tosys::Cluster +
-// replicated KV state machines) with the scenario's client swarm, topology
-// and compiled fault plan, and measures the SLO report.
+// Scenario execution: drives the full distributed stack (shard::ShardCluster
+// with the scenario's K shard columns — one when the scenario is unsharded —
+// plus replicated KV state machines) with the scenario's client swarm,
+// topology and compiled fault plan, and measures the SLO report.
 //
 // One seed = one self-contained simulated run with the conformance oracle
 // and span tracer always on: an oracle violation aborts the seed with a
 // ScenarioFailure whose message embeds the replayable fault plan, exactly
 // like the chaos harness. run_scenario fans the scenario's seed range over
-// a thread pool with the SeedSweep determinism contract — results merge in
+// a thread pool with the seed-sweep determinism contract — results merge in
 // seed order, the LOWEST failing seed is reported — so the merged SLO
 // report and metrics are byte-identical for any --jobs value.
 //
@@ -48,6 +49,13 @@ class ScenarioFailure : public std::runtime_error {
 struct SeedOutcome {
   SloReport slo;
   obs::MetricsSnapshot metrics;
+
+  /// Seed-order merge (SloReport and MetricsSnapshot merges).
+  SeedOutcome& operator+=(const SeedOutcome& other) {
+    slo += other.slo;
+    metrics += other.metrics;
+    return *this;
+  }
 };
 
 /// Runs one seed to completion; throws ScenarioFailure on an oracle

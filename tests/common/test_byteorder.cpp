@@ -18,6 +18,7 @@
 #include "common/serialize.h"
 #include "net/batcher.h"
 #include "parallel/state_hash.h"
+#include "shard/reprovision.h"
 #include "storage/wal.h"
 
 namespace dvs {
@@ -107,6 +108,19 @@ TEST(ByteOrder, BatchEnvelopeGoldenBytes) {
       bytes_of({0xb5, 0x02, 0x02, 0x01, 0x02, 0x01, 0x03});
   EXPECT_EQ(envelope, expected);
   EXPECT_EQ(net::decode_batch(envelope), frames);
+}
+
+TEST(ByteOrder, MigrationMarkerGoldenBytes) {
+  // The one commit marker of a shard migration episode, written by the
+  // simulated pool and by dvsd alike: process_id(to) u32 LE | varuint next.
+  const shard::MigrationMarker m{ProcessId(2), 300};
+  const Bytes marker = shard::encode_marker(m);
+  EXPECT_EQ(marker, bytes_of({0x02, 0x00, 0x00, 0x00, 0xac, 0x02}));
+  EXPECT_EQ(shard::decode_marker(marker), m);
+  Bytes trailing = marker;
+  trailing.push_back(std::byte{0x00});
+  EXPECT_THROW((void)shard::decode_marker(trailing), DecodeError);
+  EXPECT_THROW((void)shard::decode_marker(bytes_of({0x02, 0x00})), DecodeError);
 }
 
 TEST(ByteOrder, Hash128KnownAnswers) {

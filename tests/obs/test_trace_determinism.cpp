@@ -282,11 +282,11 @@ TEST(TraceDeterminismTest, SpanInvariantsHoldAtQuiescence) {
 }
 
 TEST(TraceDeterminismTest, SweepMetricsAreThreadCountIndependent) {
-  tosys::ChaosConfig chaos;
-  chaos.plan.horizon = 2 * sim::kSecond;
-  chaos.plan.events = 8;
-  chaos.broadcasts = 30;
-  chaos.settle = 2 * sim::kSecond;
+  shard::ShardChaosConfig chaos;
+  chaos.chaos.plan.horizon = 2 * sim::kSecond;
+  chaos.chaos.plan.events = 8;
+  chaos.chaos.broadcasts = 30;
+  chaos.chaos.settle = 2 * sim::kSecond;
   parallel::SeedSweepConfig sweep;
   sweep.first_seed = 1;
   sweep.num_seeds = 24;

@@ -28,7 +28,7 @@ SeedSweepResult sweep_with_jobs(const SeedTask& task, std::size_t jobs,
   config.first_seed = 1;
   config.num_seeds = num_seeds;
   config.jobs = jobs;
-  return SeedSweep(config).run(task);
+  return sweep_seeds(config, task);
 }
 
 void expect_equal(const SeedSweepResult& a, const SeedSweepResult& b) {

@@ -55,7 +55,8 @@ TEST(Provision, ZeroReplicationMeansWholePool) {
   for (const auto& s : a) {
     EXPECT_EQ(s.replicas.size(), 4u);
   }
-  // K=1 full replication is the identity map the equivalence test leans on.
+  // K=1 full replication is the identity map that makes K=1 the unsharded
+  // stack.
   const auto one = shard::provision(pool, 1, 0);
   EXPECT_EQ(one[0].replicas,
             (std::vector<ProcessId>{ProcessId(0), ProcessId(1), ProcessId(2),
@@ -344,17 +345,22 @@ TEST(ShardCluster, MultiShardSmoke) {
   const obs::MetricsSnapshot snap = sc.metrics_snapshot();
   EXPECT_TRUE(snap.gauges.contains("pool.shards"));
   EXPECT_EQ(snap.gauges.at("pool.shards"), 3);
-  // Per-shard prefixes plus pool rollups of the column counters.
+  // Per-shard prefixes, and each column counter rolled up under its bare
+  // key as the sum over the shards.
   bool saw_shard_prefix = false;
-  bool saw_rollup = false;
   for (const auto& [key, v] : snap.counters) {
-    if (key.rfind("shard.2.", 0) == 0) {
-      saw_shard_prefix = true;
-      saw_rollup |= snap.counters.contains("pool." + key.substr(8));
+    if (key.rfind("shard.2.", 0) != 0) continue;
+    saw_shard_prefix = true;
+    const std::string bare = key.substr(8);
+    std::uint64_t sum = 0;
+    for (const std::string k : {"1", "2", "3"}) {
+      const auto it = snap.counters.find("shard." + k + "." + bare);
+      if (it != snap.counters.end()) sum += it->second;
     }
+    ASSERT_TRUE(snap.counters.contains(bare)) << bare;
+    EXPECT_EQ(snap.counters.at(bare), sum) << bare;
   }
   EXPECT_TRUE(saw_shard_prefix);
-  EXPECT_TRUE(saw_rollup);
 }
 
 TEST(ShardCluster, ReconfiguresOneShardWhileSiblingsCommit) {

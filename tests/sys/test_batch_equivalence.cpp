@@ -99,7 +99,8 @@ parallel::ChaosSweepResult sweep(std::size_t n, bool batching,
   cfg.first_seed = 1;
   cfg.num_seeds = num_seeds;
   cfg.jobs = jobs;
-  return parallel::run_chaos_sweep(cfg, quick_chaos(n, batching));
+  return parallel::run_chaos_sweep(
+      cfg, shard::ShardChaosConfig{.chaos = quick_chaos(n, batching)});
 }
 
 void expect_identical_verdicts(std::size_t n) {
@@ -153,7 +154,7 @@ TEST(BatchEquivalenceTest, BatchingDoesNotBlindTheOracle) {
   cfg.num_seeds = 60;
   cfg.jobs = 4;
   const parallel::ChaosSweepResult r =
-      parallel::run_chaos_sweep(cfg, chaos);
+      parallel::run_chaos_sweep(cfg, shard::ShardChaosConfig{.chaos = chaos});
   EXPECT_GT(r.seeds_failed, 0u);
   ASSERT_TRUE(r.first_failure.has_value());
   EXPECT_NE(r.first_failure->message.find("chaos seed"), std::string::npos);

@@ -30,12 +30,14 @@ ChaosConfig quick_chaos(std::size_t n) {
 }
 
 parallel::ChaosSweepResult sweep(const ChaosConfig& chaos,
-                                 std::uint64_t num_seeds, std::size_t jobs) {
+                                 std::uint64_t num_seeds, std::size_t jobs,
+                                 std::size_t shards = 1) {
   parallel::SeedSweepConfig config;
   config.first_seed = 1;
   config.num_seeds = num_seeds;
   config.jobs = jobs;
-  return parallel::run_chaos_sweep(config, chaos);
+  return parallel::run_chaos_sweep(
+      config, shard::ShardChaosConfig{.shards = shards, .chaos = chaos});
 }
 
 TEST(ChaosConformanceTest, SweepsAcceptAtEveryScale) {
@@ -109,12 +111,28 @@ TEST(ChaosConformanceTest, PrintedFigureErratumIsRejectedDeterministically) {
 
   // The counterexample replays: the same seed fails identically solo.
   try {
-    (void)run_chaos_seed(serial.first_failure->seed, chaos);
+    (void)shard::run_chaos_seed(serial.first_failure->seed,
+                                shard::ShardChaosConfig{.chaos = chaos});
     FAIL() << "replay of the failing seed passed";
   } catch (const ChaosFailure& e) {
     EXPECT_EQ(e.seed(), serial.first_failure->seed);
     EXPECT_EQ(std::string(e.what()), msg);
   }
+}
+
+TEST(ChaosConformanceTest, ErratumIsRejectedAtTwoShards) {
+  // The erratum sweep through a two-shard pool (every pool member hosts
+  // both columns, one late joiner in each): the flags reach every column's
+  // automaton, and the oracle's rejection names its shard.
+  ChaosConfig chaos = quick_chaos(3);
+  chaos.initial_members = 2;
+  chaos.broadcasts = 120;
+  chaos.to_options.printed_figure_mode = true;
+  const auto r = sweep(chaos, 20, 0, /*shards=*/2);
+  ASSERT_TRUE(r.first_failure.has_value())
+      << "the printed Figure 5 behaviour went undetected at K=2";
+  EXPECT_NE(r.first_failure->message.find("): shard "), std::string::npos)
+      << r.first_failure->message;
 }
 
 }  // namespace

@@ -95,7 +95,8 @@ TEST(ChaosMetricsTest, SanityRelationsHoldPerSeedAcrossScales) {
     const std::uint64_t seeds = n == 4 ? 60 : 80;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       ChaosStats s;
-      ASSERT_NO_THROW(s = run_chaos_seed(seed, chaos))
+      ASSERT_NO_THROW(s = shard::run_chaos_seed(
+                          seed, shard::ShardChaosConfig{.chaos = chaos}))
           << "n=" << n << " seed=" << seed;
       assert_sane(n, seed, s);
       ++total_seeds;
@@ -116,7 +117,8 @@ TEST(ChaosMetricsTest, SweepTotalsSatisfyTheSameRelations) {
   sweep.first_seed = 1;
   sweep.num_seeds = 40;
   sweep.jobs = 0;
-  const auto r = parallel::run_chaos_sweep(sweep, chaos);
+  const auto r = parallel::run_chaos_sweep(
+      sweep, shard::ShardChaosConfig{.chaos = chaos});
   ASSERT_FALSE(r.first_failure.has_value()) << r.first_failure->message;
   assert_sane(3, 0, r.total);
   // The latency histograms actually accumulated across the sweep.

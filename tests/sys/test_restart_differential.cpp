@@ -34,7 +34,8 @@ parallel::ChaosSweepResult sweep(const ChaosConfig& chaos,
   config.first_seed = 1;
   config.num_seeds = num_seeds;
   config.jobs = jobs;
-  return parallel::run_chaos_sweep(config, chaos);
+  return parallel::run_chaos_sweep(config,
+                                   shard::ShardChaosConfig{.chaos = chaos});
 }
 
 TEST(RestartDifferentialTest, SameSeedsConformUnderBothCrashSemantics) {
