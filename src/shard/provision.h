@@ -7,8 +7,8 @@
 // subgroup membership from the top-level view. The function is a rotating
 // window (round-robin) over the sorted pool members: shard k (1-based)
 // takes the r members starting at offset k-1, wrapping around. K=1 with
-// full replication therefore provisions the entire pool, which is what the
-// single-shard equivalence differential pins against the unsharded stack.
+// full replication therefore provisions the entire pool, which is how a
+// K=1 ShardCluster serves as the unsharded simulation.
 #pragma once
 
 #include <cstdint>

@@ -115,11 +115,9 @@ struct Scenario {
   std::size_t n = 3;
   /// Initial view size (0 = all n; fewer leaves late joiners).
   std::size_t initial = 0;
-  /// 0 = the legacy unsharded stack (one tosys::Cluster). K >= 1 runs a
-  /// shard::ShardCluster with K subgroups over the n-process pool; clients
-  /// route every operation by key hash (shard::ShardRouter). shards=1 with
-  /// replication 0 is the equivalence configuration — byte-identical SLO
-  /// reports to shards=0.
+  /// K shard subgroups of a shard::ShardCluster over the n-process pool;
+  /// clients route every operation by key hash (shard::ShardRouter). 0
+  /// means K=1, the unsharded stack: one column over the whole pool.
   std::size_t shards = 0;
   /// Replicas per shard (0 = every pool member hosts every shard). Only
   /// meaningful with shards >= 1.
