@@ -75,49 +75,17 @@ void BM_ViewChange(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewChange)->Arg(3)->Arg(5)->Arg(9);
 
-// Hot-path configuration axis for the BM_Stack* benches:
-//   0 = baseline   — eager per-tick retransmission (holdoff 1, the seed
-//                    behaviour) over the unbatched transport;
-//   1 = cursors    — per-destination retransmission cursors (default
-//                    holdoff) skip resends whose covering copy is still in
-//                    flight, unbatched transport;
-//   2 = cursors+batch — cursors plus same-tick BATCH coalescing on the
-//                    wire (`--batch` / NetConfig::batching);
-//   3 = watermark+arena — cursors and batching plus SST-style watermark
-//                    stability (VsConfig::stability) and the allocation-free
-//                    data path (NetConfig::payload_arena + ring buffers).
-// Modes 0–2 pin explicit-ack stability and the heap payload path, so mode 0
-// stays an honest seed baseline and 2→3 isolates this round's work.
-enum StackMode {
-  kEager = 0,
-  kCursors = 1,
-  kCursorsBatched = 2,
-  kWatermarkArena = 3,
-};
-
-const char* mode_label(int mode) {
-  switch (mode) {
-    case kEager: return "eager retx, unbatched";
-    case kCursors: return "retx cursors, unbatched";
-    case kCursorsBatched: return "retx cursors + batching";
-    default: return "watermarks + arena + batching";
-  }
-}
-
-/// Raw-stack config: tracing, oracle and observability off so the
-/// measurement is the protocol + transport hot path alone.
-ClusterConfig raw_stack(std::size_t n, int mode) {
+/// Raw-stack config for the BM_Stack* benches: tracing, oracle and
+/// observability off so the measurement is the protocol + transport hot
+/// path alone. The one axis is same-tick BATCH coalescing on the wire
+/// (`--batch` / NetConfig::batching).
+ClusterConfig raw_stack(std::size_t n, bool batching) {
   ClusterConfig cfg;
   cfg.n_processes = n;
   cfg.record_traces = false;
   cfg.conformance_oracle = false;
   cfg.observability = false;
-  if (mode == kEager) cfg.vs.retransmit_holdoff_ticks = 1;
-  cfg.net.batching = mode == kCursorsBatched || mode == kWatermarkArena;
-  cfg.vs.stability = mode == kWatermarkArena
-                         ? vsys::StabilityMode::kWatermark
-                         : vsys::StabilityMode::kExplicitAck;
-  cfg.net.payload_arena = mode == kWatermarkArena;
+  cfg.net.batching = batching;
   return cfg;
 }
 
@@ -125,22 +93,20 @@ void BM_StackBurstThroughput(benchmark::State& state) {
   // Bursty app load over a WAN-ish link — every process broadcasts a
   // clutch of messages each heartbeat tick while the one-way delay spans
   // several ticks, so every message stays un-acked (a resend candidate)
-  // for its whole flight. The eager baseline re-sends the un-acked SEQ
-  // window (cap 8 per member) plus the DATA head to every member every
-  // tick; the cursors skip resends whose covering copy is still in
-  // flight, and batching coalesces each tick's clutch (DATA, SEQ,
-  // heartbeat to one destination) into a single datagram.
+  // for its whole flight. The retransmission cursors skip resends whose
+  // covering copy is still in flight, and batching coalesces each tick's
+  // clutch (DATA, SEQ, heartbeat to one destination) into a single
+  // datagram.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
+  const bool batching = state.range(1) != 0;
   constexpr int kBurstsPerRun = 50;
   constexpr std::uint64_t kMsgsPerProcessPerBurst = 4;
   std::uint64_t seed = 1;
   std::size_t delivered = 0;
   for (auto _ : state) {
-    ClusterConfig cfg = raw_stack(n, mode);
+    ClusterConfig cfg = raw_stack(n, batching);
     // ~3 ticks one-way: acks lag ~6 ticks, so in-flight copies stay resend
-    // candidates for several ticks in a row — the regime the eager baseline
-    // floods in.
+    // candidates for several ticks in a row.
     cfg.net.base_delay = 55 * kMillisecond;
     Cluster c(cfg, seed++);
     c.start();
@@ -161,43 +127,24 @@ void BM_StackBurstThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(
                               kBurstsPerRun * n * kMsgsPerProcessPerBurst));
-  state.SetLabel(std::string(mode_label(mode)) + ", " +
+  state.SetLabel(std::string(batching ? "batched" : "unbatched") + ", " +
                  std::to_string(delivered) + " delivered");
 }
 BENCHMARK(BM_StackBurstThroughput)
-    ->Args({3, kEager})
-    ->Args({3, kCursors})
-    ->Args({3, kCursorsBatched})
-    ->Args({3, kWatermarkArena})
-    ->Args({5, kEager})
-    ->Args({5, kCursors})
-    ->Args({5, kCursorsBatched})
-    ->Args({5, kWatermarkArena})
-    ->Args({9, kEager})
-    ->Args({9, kCursors})
-    ->Args({9, kCursorsBatched})
-    ->Args({9, kWatermarkArena});
+    ->ArgsProduct({{3, 5, 9}, {0, 1}});
 
 void BM_StackSteadyState(benchmark::State& state) {
   // Long stable-view run: five simulated seconds of one broadcast per 20 ms
   // heartbeat tick, no faults, no view changes — the regime the watermark
-  // table and the recycled containers are built for. The two boolean axes
-  // split this round's work: stability mode {explicit ack, watermark} ×
-  // payload path {heap, arena}, all over the cursors+batching transport, so
-  // each axis' contribution is measurable on its own.
+  // table and the recycled containers are built for, over the batched
+  // transport.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool watermarks = state.range(1) != 0;
-  const bool arena = state.range(2) != 0;
   constexpr sim::Time kRun = 5 * kSecond;
   constexpr sim::Time kTick = 20 * kMillisecond;
   std::uint64_t seed = 1;
   std::size_t delivered = 0;
   for (auto _ : state) {
-    ClusterConfig cfg = raw_stack(n, kCursorsBatched);
-    cfg.vs.stability = watermarks ? vsys::StabilityMode::kWatermark
-                                  : vsys::StabilityMode::kExplicitAck;
-    cfg.net.payload_arena = arena;
-    Cluster c(cfg, seed++);
+    Cluster c(raw_stack(n, true), seed++);
     c.start();
     std::uint64_t uid = 1;
     for (sim::Time t = 0; t < kRun; t += kTick) {
@@ -211,17 +158,9 @@ void BM_StackSteadyState(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRun / kTick));
-  state.SetLabel(std::string(watermarks ? "watermark" : "explicit ack") +
-                 ", " + (arena ? "arena" : "heap") + ", " +
-                 std::to_string(delivered) + " delivered");
+  state.SetLabel(std::to_string(delivered) + " delivered");
 }
-BENCHMARK(BM_StackSteadyState)
-    ->Args({5, 0, 0})
-    ->Args({5, 0, 1})
-    ->Args({5, 1, 0})
-    ->Args({5, 1, 1})
-    ->Args({9, 0, 0})
-    ->Args({9, 1, 1});
+BENCHMARK(BM_StackSteadyState)->Arg(5)->Arg(9);
 
 void BM_StackRestart(benchmark::State& state) {
   // Crash-restart cost of the persistent stack (experiment E19). One

@@ -222,6 +222,9 @@ int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
     return 0;
   }
   const tosys::ChaosStats& t = result.total;
+  const auto sum = [&t](const char* counter) {
+    return static_cast<unsigned long long>(t.metrics.counter_sum(counter));
+  };
   // The shard topology is named only when the sweep is actually sharded.
   std::string topology;
   if (shards > 1 || replication != 0) {
@@ -237,30 +240,24 @@ int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
       result.seeds_run, n, topology.c_str(),
       static_cast<unsigned long long>(t.events_checked),
       static_cast<unsigned long long>(t.invariant_checks),
-      static_cast<unsigned long long>(t.views_installed),
+      sum("vs.views_installed"),
       static_cast<unsigned long long>(t.broadcasts),
       static_cast<unsigned long long>(t.deliveries),
       static_cast<unsigned long long>(t.fault_events),
-      static_cast<unsigned long long>(t.duplicated),
-      static_cast<unsigned long long>(t.reordered),
-      static_cast<unsigned long long>(t.truncated),
-      static_cast<unsigned long long>(t.decode_errors),
-      static_cast<unsigned long long>(t.duplicates_suppressed));
+      sum("net.duplicated"), sum("net.reordered"), sum("net.truncated"),
+      sum("vs.decode_errors"), sum("vs.duplicates_suppressed"));
   if (batch) {
     std::printf("batching: %llu logical messages coalesced into %llu BATCH "
                 "envelopes (%llu datagrams on the wire vs %llu sends).\n",
-                static_cast<unsigned long long>(t.batched_msgs),
-                static_cast<unsigned long long>(t.batches),
-                static_cast<unsigned long long>(t.datagrams),
-                static_cast<unsigned long long>(t.net_sent));
+                sum("net.batched_msgs"), sum("net.batches"),
+                sum("net.datagrams"), sum("net.sent"));
   }
   if (restart) {
     std::printf("crash-restart: %llu restarts recovered from stable storage "
                 "(%llu WAL records, %llu bytes written) — every node came "
                 "back from its journal alone.\n",
                 static_cast<unsigned long long>(t.restarts),
-                static_cast<unsigned long long>(t.wal_appends),
-                static_cast<unsigned long long>(t.wal_bytes));
+                sum("storage.appends"), sum("storage.bytes_written"));
   }
   return 0;
 }

@@ -47,14 +47,15 @@ cmake --build build --target bench_explorer bench_micro bench_stack model_checke
   "${BENCH_CONTEXT}" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_format=json >BENCH_micro.json
-# Full-stack throughput with the hot-path mode axis (eager retx baseline /
-# retx cursors / cursors + wire batching) — the batching speedup and its
-# delivered-message counts land in the snapshot for review. Wall-clock on a
-# busy machine is noisy at these run lengths; prefer comparing the
-# "delivered" labels (deterministic) and treat time ratios as indicative.
+# Full-stack throughput: bursty load {unbatched, batched} and the steady
+# stable-view run — the delivered-message counts land in the snapshot for
+# review. Wall-clock on a busy machine is noisy at these run lengths; prefer
+# comparing the "delivered" labels (deterministic) and treat time ratios as
+# indicative. The filter names both benches so BM_StackRestart lands only
+# in BENCH_recovery.json.
 ./build/bench/bench_stack \
   "${BENCH_CONTEXT}" \
-  --benchmark_filter='BM_Stack' \
+  --benchmark_filter='BM_Stack(BurstThroughput|SteadyState)' \
   --benchmark_min_time="${STACK_MIN_TIME}" \
   --benchmark_format=json >BENCH_stack.json
 

@@ -120,23 +120,16 @@ void SimNetwork::schedule_delivery(Channel& ch, ProcessId from, ProcessId to,
   }
   ++stats_.datagrams;
   stats_.wire_bytes += payload.size();
-  if (config_.payload_arena) {
-    // The in-flight bytes ride in a recycled arena slot; the closure
-    // carries only the handle (fits the simulator's inline callback
-    // storage), so a steady-state send performs no heap allocation.
-    const MsgArena::Handle h = arena_.acquire();
-    arena_.at(h) = payload;
-    Channel* chp = &ch;
-    sim_.schedule_at(at, [this, chp, from, to, h] {
-      deliver_payload(*chp, from, to, arena_.at(h));
-      arena_.release(h);
-    });
-  } else {
-    Channel* chp = &ch;
-    sim_.schedule_at(at, [this, chp, from, to, payload] {
-      deliver_payload(*chp, from, to, payload);
-    });
-  }
+  // The in-flight bytes ride in a recycled arena slot; the closure carries
+  // only the handle (fits the simulator's inline callback storage), so a
+  // steady-state send performs no heap allocation.
+  const MsgArena::Handle h = arena_.acquire();
+  arena_.at(h) = payload;
+  Channel* chp = &ch;
+  sim_.schedule_at(at, [this, chp, from, to, h] {
+    deliver_payload(*chp, from, to, arena_.at(h));
+    arena_.release(h);
+  });
 }
 
 void SimNetwork::deliver_payload(Channel& ch, ProcessId from, ProcessId to,
@@ -175,14 +168,10 @@ void SimNetwork::enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
                                const Bytes& payload) {
   PendingBatch& batch = ch.pending[link_key(from, to)];
   batch.bytes += payload.size();
-  if (config_.payload_arena) {
-    const MsgArena::Handle h = arena_.acquire();
-    arena_.at(h) = payload;
-    batch.handles.push_back(h);
-  } else {
-    batch.frames.push_back(payload);
-  }
-  if (batch.frame_count() >= config_.batch_max_msgs ||
+  const MsgArena::Handle h = arena_.acquire();
+  arena_.at(h) = payload;
+  batch.handles.push_back(h);
+  if (batch.handles.size() >= config_.batch_max_msgs ||
       batch.bytes >= config_.batch_max_bytes) {
     ++stats_.batch_cap_flushes;
     flush_batch(ch, from, to);
@@ -222,67 +211,44 @@ void SimNetwork::flush_batch(Channel& ch, ProcessId from, ProcessId to) {
   batch.flush_scheduled = false;
   // A cap flush may already have emptied this batch; the sweep (or a
   // window event) then finds nothing to do.
-  const std::size_t n = batch.frame_count();
+  const std::size_t n = batch.handles.size();
   if (n == 0) return;
   if (batch_fill_ != nullptr) batch_fill_->observe(n);
   Rng& rng = chan_rng(ch);
-  if (config_.payload_arena) {
-    // A flush that coalesced nothing goes out as the raw frame — the
-    // envelope framing only pays for itself when it carries several
-    // messages, and the receiver disambiguates by the tag byte. Multi-frame
-    // envelopes are encoded into one reused Writer straight from the arena
-    // slots, so flushing allocates nothing in steady state.
-    const Bytes* datagram;
-    if (n == 1) {
-      datagram = &arena_.at(batch.handles.front());
-    } else {
-      ++stats_.batches;
-      stats_.batched_msgs += n;
-      ch.batch_writer.clear();
-      ch.batch_writer.u8(kBatchTag);
-      ch.batch_writer.varuint(n);
-      for (MsgArena::Handle h : batch.handles) {
-        ch.batch_writer.bytes_field(arena_.at(h));
-      }
-      datagram = &ch.batch_writer.buffer();
-    }
-    // The in-flight corruption fault applies to the datagram actually on
-    // the wire: one truncation draw per datagram, potentially damaging the
-    // tail of a whole batch. The mutation lands in a scratch copy so the
-    // writer / arena slot stays intact.
-    if (config_.truncate_probability > 0.0 && !datagram->empty() &&
-        rng.chance(config_.truncate_probability)) {
-      const auto keep =
-          static_cast<std::ptrdiff_t>(rng.below(datagram->size()));
-      ch.trunc_scratch.assign(datagram->begin(), datagram->begin() + keep);
-      datagram = &ch.trunc_scratch;
-      ++stats_.truncated;
-    }
-    schedule_delivery(ch, from, to, *datagram);
-    for (MsgArena::Handle h : batch.handles) arena_.release(h);
-    batch.handles.clear();  // keeps the vector's capacity for the next batch
-    batch.bytes = 0;
-    return;
-  }
-  Bytes datagram;
+  // A flush that coalesced nothing goes out as the raw frame — the envelope
+  // framing only pays for itself when it carries several messages, and the
+  // receiver disambiguates by the tag byte. Multi-frame envelopes are
+  // encoded into one reused Writer straight from the arena slots, so
+  // flushing allocates nothing in steady state.
+  const Bytes* datagram;
   if (n == 1) {
-    datagram = std::move(batch.frames.front());
+    datagram = &arena_.at(batch.handles.front());
   } else {
     ++stats_.batches;
     stats_.batched_msgs += n;
-    datagram = encode_batch(batch.frames);
+    ch.batch_writer.clear();
+    ch.batch_writer.u8(kBatchTag);
+    ch.batch_writer.varuint(n);
+    for (MsgArena::Handle h : batch.handles) {
+      ch.batch_writer.bytes_field(arena_.at(h));
+    }
+    datagram = &ch.batch_writer.buffer();
   }
-  batch.frames.clear();  // keeps the vector's capacity for the next batch
-  batch.bytes = 0;
   // The in-flight corruption fault applies to the datagram actually on the
   // wire: one truncation draw per datagram, potentially damaging the tail
-  // of a whole batch.
-  if (config_.truncate_probability > 0.0 && !datagram.empty() &&
+  // of a whole batch. The mutation lands in a scratch copy so the writer /
+  // arena slot stays intact.
+  if (config_.truncate_probability > 0.0 && !datagram->empty() &&
       rng.chance(config_.truncate_probability)) {
-    datagram.resize(rng.below(datagram.size()));
+    const auto keep = static_cast<std::ptrdiff_t>(rng.below(datagram->size()));
+    ch.trunc_scratch.assign(datagram->begin(), datagram->begin() + keep);
+    datagram = &ch.trunc_scratch;
     ++stats_.truncated;
   }
-  schedule_delivery(ch, from, to, datagram);
+  schedule_delivery(ch, from, to, *datagram);
+  for (MsgArena::Handle h : batch.handles) arena_.release(h);
+  batch.handles.clear();  // keeps the vector's capacity for the next batch
+  batch.bytes = 0;
 }
 
 void SimNetwork::send_on(Channel& ch, ProcessId from, ProcessId to,

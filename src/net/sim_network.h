@@ -101,14 +101,10 @@ struct NetConfig {
   std::size_t batch_max_bytes = 8192;
 
   // ----- payload slab --------------------------------------------------------
-  /// Carry in-flight payloads in recycled MsgArena slots instead of a fresh
-  /// heap buffer per send. The observable behaviour is identical (the
-  /// receiver sees the same bytes); the win is that steady-state traffic
-  /// stops allocating. Off = the legacy copy-per-send path (the bench's
-  /// heap axis).
-  bool payload_arena = true;
-  /// Buffer capacity the arena may retain across releases; bursts beyond it
-  /// degrade to plain malloc/free (counted, never refused).
+  /// In-flight payloads ride in recycled MsgArena slots, so steady-state
+  /// traffic stops allocating. Buffer capacity the arena may retain across
+  /// releases; bursts beyond it degrade to plain malloc/free (counted, never
+  /// refused).
   std::size_t arena_max_retained = 1024;
 };
 
@@ -126,9 +122,9 @@ class SimNetwork : public Transport {
   void attach(ProcessId p, Handler handler) override;
 
   /// Sends a datagram; self-sends are delivered (with delay) too. The bytes
-  /// are copied out (into a recycled arena slot by default), so the caller
-  /// may reuse its buffer immediately — the broadcast hot paths hand the
-  /// same scratch encoding to every destination.
+  /// are copied out into a recycled arena slot, so the caller may reuse its
+  /// buffer immediately — the broadcast hot paths hand the same scratch
+  /// encoding to every destination.
   void send(ProcessId from, ProcessId to, const Bytes& payload) override;
 
   /// Sends to every process in `targets` (including `from` if present).
@@ -216,19 +212,13 @@ class SimNetwork : public Transport {
   // Open batches per (from, to) link; flushed by a scheduled event at the
   // end of the window or synchronously when a cap is hit. Keyed by the
   // packed link id (hot path: one hash lookup per logical send); flushed
-  // in-place so the frames vector keeps its capacity across ticks.
+  // in-place so the handles vector keeps its capacity across ticks.
   struct PendingBatch {
-    // Exactly one of the two frame stores is used, per config_.payload_arena:
-    // arena handles (recycled slots, no per-frame allocation) or owned
-    // buffers (the legacy heap axis).
+    // The batch's frames, each in a recycled arena slot (no per-frame
+    // allocation).
     std::vector<MsgArena::Handle> handles;
-    std::vector<Bytes> frames;
     std::size_t bytes = 0;
     bool flush_scheduled = false;
-
-    [[nodiscard]] std::size_t frame_count() const {
-      return handles.size() + frames.size();
-    }
   };
 
   /// Everything that must be independent per group so channels cannot
@@ -251,8 +241,8 @@ class SimNetwork : public Transport {
     // Reused buffer for handing envelope frames to handlers without a fresh
     // allocation per frame (handlers decode synchronously).
     Bytes frame_scratch;
-    // Reused encoder for multi-frame envelopes (arena mode) and scratch for
-    // the rare in-flight truncation mutation.
+    // Reused encoder for multi-frame envelopes and scratch for the rare
+    // in-flight truncation mutation.
     Writer batch_writer;
     Bytes trunc_scratch;
   };
@@ -273,8 +263,7 @@ class SimNetwork : public Transport {
   void schedule_delivery(Channel& ch, ProcessId from, ProcessId to,
                          const Bytes& payload);
   /// The delivery-time half of schedule_delivery: connectivity re-check,
-  /// handler dispatch, envelope salvage. Shared by the arena-handle and
-  /// legacy heap closures.
+  /// handler dispatch, envelope salvage.
   void deliver_payload(Channel& ch, ProcessId from, ProcessId to,
                        const Bytes& payload);
   void enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
@@ -300,10 +289,9 @@ class SimNetwork : public Transport {
   Channel default_;
   std::map<std::uint32_t, Channel> groups_;
   NetStats stats_;
-  // Recycled in-flight payload slab (and the batch frames' store when
-  // payload_arena is on). Shared by all channels — slot handles are
-  // channel-agnostic and acquisition order cannot leak across channels'
-  // observable behaviour (the bytes delivered are identical either way).
+  // Recycled in-flight payload slab and the batch frames' store. Shared by
+  // all channels — slot handles are channel-agnostic, and acquisition order
+  // cannot leak into any channel's observable behaviour.
   MsgArena arena_;
   // Batch fill (frames per flush, single-frame flushes included), published
   // when batching is on.

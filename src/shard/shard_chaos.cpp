@@ -23,9 +23,6 @@ tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   cc.net.reorder_window = c.reorder_window;
   cc.net.truncate_probability = c.truncate_probability;
   cc.net.batching = c.batching;
-  cc.net.payload_arena = c.payload_arena;
-  cc.vs.stability = c.watermarks ? vsys::StabilityMode::kWatermark
-                                 : vsys::StabilityMode::kExplicitAck;
   cc.record_traces = true;
   cc.conformance_oracle = true;
   cc.to_options = c.to_options;
@@ -121,31 +118,11 @@ ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
     s.events_checked += column.oracle().events_checked();
     s.invariant_checks += column.oracle().invariant_checks();
     s.deliveries += column.deliveries().size();
-    for (ProcessId local : column.universe()) {
-      const auto& vstats = column.vs_node(local).stats();
-      s.views_installed += vstats.views_installed;
-      s.decode_errors += vstats.decode_errors;
-      s.duplicates_suppressed += vstats.duplicates_suppressed;
-    }
-    if (column.store() != nullptr) {
-      const storage::StorageStats& ss = column.store()->stats();
-      s.wal_appends += ss.appends;
-      s.wal_bytes += ss.bytes_written();
-    }
     // The end-of-run span-invariant check travels inside the snapshot
     // (all-zero on a conforming run).
     obs::publish_span_invariants(obs::check_span_invariants(column.trace()),
                                  column.metrics());
   }
-  const net::NetStats& ns = sc.net().stats();
-  s.net_sent = ns.sent;
-  s.net_delivered = ns.delivered;
-  s.duplicated = ns.duplicated;
-  s.reordered = ns.reordered;
-  s.truncated = ns.truncated;
-  s.datagrams = ns.datagrams;
-  s.batches = ns.batches;
-  s.batched_msgs = ns.batched_msgs;
   s.metrics = sc.metrics_snapshot();
   out.migrations = sc.migrations();
   out.migration_stalls = sc.migration_stalls();

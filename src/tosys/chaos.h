@@ -40,16 +40,6 @@ struct ChaosConfig {
   /// sends into BATCH envelopes. Off by default — the unbatched stack stays
   /// the reference; test_batch_equivalence proves both conform.
   bool batching = false;
-  /// Stability detection inside installed views (VsConfig.stability): true
-  /// runs the SST-style watermark table, false the explicit per-message ack
-  /// protocol. On by default — watermarks are the production path;
-  /// test_watermark_equivalence proves both conform and deliver identically.
-  bool watermarks = true;
-  /// Carry in-flight payloads in the network's recycled arena slots
-  /// (NetConfig.payload_arena). Behaviour-invariant by construction (same
-  /// bytes, same RNG draw order); the knob exists so the differential suite
-  /// can pin both axes.
-  bool payload_arena = true;
   /// Client broadcasts injected at seeded times across the horizon.
   std::size_t broadcasts = 60;
   /// Run time after the final heal/resume, letting recovery complete
@@ -77,27 +67,18 @@ struct ChaosConfig {
 
 /// Per-run counters. All fields are deterministic functions of the seed and
 /// config; the chaos sweep aggregates them field-wise in seed order, so
-/// totals are thread-count independent.
+/// totals are thread-count independent. Only facts the metric snapshot
+/// does not carry are fields; network, VS and storage counts are read from
+/// `metrics` (e.g. `metrics.counter_sum("net.duplicated")`).
 struct ChaosStats {
-  std::uint64_t events_checked = 0;      // oracle-fed external events
-  std::uint64_t invariant_checks = 0;    // DVS Invariant 4.1/4.2 re-checks
-  std::uint64_t views_installed = 0;     // VS installs across all nodes
-  std::uint64_t broadcasts = 0;          // client BCASTs injected
-  std::uint64_t deliveries = 0;          // TO BRCVs across all nodes
-  std::uint64_t fault_events = 0;        // scripted FaultPlan events
-  std::uint64_t net_sent = 0;
-  std::uint64_t net_delivered = 0;
-  std::uint64_t duplicated = 0;          // extra copies the network injected
-  std::uint64_t reordered = 0;           // deliveries that bypassed FIFO
-  std::uint64_t truncated = 0;           // payloads cut in flight
-  std::uint64_t decode_errors = 0;       // corrupted datagrams dropped clean
-  std::uint64_t duplicates_suppressed = 0;  // dup-suppression path hits
-  std::uint64_t datagrams = 0;           // datagrams actually on the wire
-  std::uint64_t batches = 0;             // BATCH envelopes flushed
-  std::uint64_t batched_msgs = 0;        // logical messages carried batched
-  std::uint64_t restarts = 0;            // crash-restarts executed
-  std::uint64_t wal_appends = 0;         // journal records appended
-  std::uint64_t wal_bytes = 0;           // bytes written to stable storage
+  std::uint64_t events_checked = 0;    // oracle-fed external events
+  std::uint64_t invariant_checks = 0;  // DVS Invariant 4.1/4.2 re-checks
+  std::uint64_t broadcasts = 0;        // client BCASTs injected
+  // TO BRCVs across all nodes, from the delivery logs: to.deliveries
+  // restarts from zero with each crash-restarted node.
+  std::uint64_t deliveries = 0;
+  std::uint64_t fault_events = 0;  // scripted FaultPlan events
+  std::uint64_t restarts = 0;      // crash-restarts executed
 
   /// Full end-of-run metric export of the pool (every layer's counters,
   /// the tracer's latency histograms and the span-invariant counters).

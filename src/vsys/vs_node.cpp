@@ -6,6 +6,16 @@
 
 namespace dvs::vsys {
 
+namespace {
+
+// Tick retransmission holdoff: once a copy covering a peer's missing suffix
+// is in flight, wait this many ticks without ack progress before resending
+// to that peer. One heartbeat round-trip is about 2 ticks, so this cuts
+// redundant retransmissions while acks propagate (E18).
+constexpr std::size_t kRetransmitHoldoffTicks = 2;
+
+}  // namespace
+
 VsNode::VsNode(ProcessId self, std::optional<View> initial_view,
                net::Transport& net, sim::Simulator& sim, VsConfig config,
                VsCallbacks callbacks)
@@ -61,12 +71,8 @@ void VsNode::gpsnd(const Msg& m) {
     return;
   }
   sent_data_.push_back(m);
-  Data da{view_->id(), data_seq_out_++, m};
-  if (config_.stability == StabilityMode::kWatermark) {
-    da.wm_delivered = delivered_;
-    da.wm_safe = safe_emitted_;
-  }
-  send_wire(sequencer(), da);
+  send_wire(sequencer(),
+            Data{view_->id(), data_seq_out_++, m, delivered_, safe_emitted_});
 }
 
 ProcessSet VsNode::estimate() const {
@@ -179,7 +185,7 @@ void VsNode::on_tick() {
   // SEQs it issued in the window the member is missing. The lag signal is
   // the watermark table — stalled rows (a peer whose published watermark
   // stopped advancing, whatever the transport) trip the holdoff cursor and
-  // get the suffix re-fed, so kWatermark mode keeps explicit-ack liveness.
+  // get the suffix re-fed.
   if (view_.has_value()) {
     if (config_.ordering == OrderingMode::kSequencer) {
       if (own_acked_ < sent_data_.end_index()) {
@@ -190,13 +196,11 @@ void VsNode::on_tick() {
           data_retx_acked_ = own_acked_;
           data_retx_idle_ = 0;
         }
-        if (++data_retx_idle_ >= config_.retransmit_holdoff_ticks) {
-          Data da{view_->id(), own_acked_ + 1, sent_data_.at_abs(own_acked_)};
-          if (config_.stability == StabilityMode::kWatermark) {
-            da.wm_delivered = delivered_;
-            da.wm_safe = safe_emitted_;
-          }
-          send_wire(sequencer(), da);
+        if (++data_retx_idle_ >= kRetransmitHoldoffTicks) {
+          send_wire(sequencer(),
+                    Data{view_->id(), own_acked_ + 1,
+                         sent_data_.at_abs(own_acked_), delivered_,
+                         safe_emitted_});
           ++stats_.retransmits_sent;
           data_retx_idle_ = 0;
         } else {
@@ -226,7 +230,7 @@ void VsNode::on_tick() {
           continue;
         }
         if (cur.sent_upto > have &&
-            ++cur.idle_ticks < config_.retransmit_holdoff_ticks) {
+            ++cur.idle_ticks < kRetransmitHoldoffTicks) {
           ++stats_.retransmits_skipped;
           continue;
         }
@@ -236,12 +240,10 @@ void VsNode::on_tick() {
         for (std::uint64_t s = have + 1; s <= have + 8; ++s) {
           Seq* sq = issued_.find(s);
           if (sq == nullptr) continue;
-          if (config_.stability == StabilityMode::kWatermark) {
-            // Refresh the stored piggyback: retransmits carry the issuer's
-            // current watermarks, not the ones at first issue.
-            sq->wm_delivered = delivered_;
-            sq->wm_safe = safe_emitted_;
-          }
+          // Refresh the stored piggyback: retransmits carry the issuer's
+          // current watermarks, not the ones at first issue.
+          sq->wm_delivered = delivered_;
+          sq->wm_safe = safe_emitted_;
           send_wire(q, *sq);
           cur.sent_upto = std::max(cur.sent_upto, s);
           ++stats_.retransmits_sent;
@@ -419,7 +421,6 @@ void VsNode::install(const View& v) {
 
 void VsNode::apply_watermarks(ProcessId from, const ViewId& view,
                               std::uint64_t delivered, std::uint64_t safe) {
-  if (config_.stability != StabilityMode::kWatermark) return;
   if (!view_.has_value() || view != view_->id()) return;
   const std::size_t row = ix(from);
   const std::uint64_t before = wm_.delivered(row);
@@ -463,13 +464,8 @@ void VsNode::issue(const Msg& payload, ProcessId origin, std::uint64_t seqno) {
   sq.seqno = seqno;
   sq.origin = origin;
   sq.payload = payload;
-  if (config_.stability == StabilityMode::kWatermark) {
-    sq.wm_delivered = delivered_;
-    sq.wm_safe = safe_emitted_;
-  } else {
-    sq.wm_delivered = 0;
-    sq.wm_safe = 0;
-  }
+  sq.wm_delivered = delivered_;
+  sq.wm_safe = safe_emitted_;
   const Bytes& bytes = encode_reused(WireMsg{sq});
   for (ProcessId q : view_members_) {
     net_.send(self_, q, bytes);

@@ -18,12 +18,12 @@
 //  * Safe — each member publishes its contiguously-delivered count and its
 //    safe watermark for the current view in a per-member watermark table
 //    (SST style); a message is safe at q once the table's delivered
-//    minimum reaches it. Rows are raised from heartbeats in both stability
-//    modes; in kWatermark mode (the default) DATA/SEQ frames additionally
-//    piggyback the sender's watermarks, so stability advances at data rate
-//    instead of heartbeat rate. Reconfiguration (the PROPOSE/FLUSH_ACK/
-//    INSTALL agreement) always uses explicit acks — the watermark table is
-//    a within-view optimization only and is reset on install.
+//    minimum reaches it. Rows are raised from heartbeats and from the
+//    sender's watermarks piggybacked on every DATA/SEQ frame, so stability
+//    advances at data rate instead of heartbeat rate. Reconfiguration (the
+//    PROPOSE/FLUSH_ACK/INSTALL agreement) uses explicit acks — the
+//    watermark table is a within-view optimization only and is reset on
+//    install.
 //
 // Safety matches the VS specification (Figure 1): view ids are unique with
 // consistent memberships, installs are monotone per process, messages are
@@ -82,34 +82,14 @@ enum class OrderingMode {
   kTokenRing,
 };
 
-/// Within-view stability (safe-indication) strategy. Reconfiguration is
-/// explicit-ack in both modes; this only selects how delivery watermarks
-/// propagate inside an installed view.
-enum class StabilityMode {
-  /// Watermarks travel on heartbeats only (the pre-watermark behavior —
-  /// kept as the differential baseline; see test_watermark_equivalence).
-  kExplicitAck,
-  /// Heartbeats plus watermark piggybacks on every DATA/SEQ frame: the
-  /// per-member table advances at data rate, cutting safe latency and
-  /// letting retransmission cursors see peer progress sooner.
-  kWatermark,
-};
-
 struct VsConfig {
   sim::Time heartbeat_period = 20 * sim::kMillisecond;
   sim::Time suspect_timeout = 100 * sim::kMillisecond;
   sim::Time propose_timeout = 250 * sim::kMillisecond;
   sim::Time propose_cooldown = 50 * sim::kMillisecond;
   OrderingMode ordering = OrderingMode::kSequencer;
-  StabilityMode stability = StabilityMode::kWatermark;
   /// Token mode: max messages a holder issues per rotation (fairness cap).
   std::size_t token_backlog_cap = 16;
-  /// Tick retransmission holdoff: once a copy covering a peer's missing
-  /// suffix is in flight, wait this many ticks without ack progress before
-  /// resending to that peer. 1 restores the old resend-every-tick behavior;
-  /// higher values cut redundant retransmissions while acks propagate (one
-  /// heartbeat round-trip ≈ 2 ticks) at the cost of slower loss recovery.
-  std::size_t retransmit_holdoff_ticks = 2;
 };
 
 struct VsCallbacks {
@@ -141,8 +121,8 @@ struct VsNodeStats {
   /// holdoff — the per-destination cursor win shows as skipped >> sent.
   std::uint64_t retransmits_sent = 0;
   std::uint64_t retransmits_skipped = 0;
-  /// Watermark-table rows raised by DATA/SEQ piggybacks (kWatermark mode
-  /// only; heartbeat-driven raises are the baseline and are not counted).
+  /// Watermark-table rows raised by DATA/SEQ piggybacks (heartbeat-driven
+  /// raises are not counted).
   std::uint64_t watermark_updates = 0;
   /// Issued-SEQ log entries garbage-collected once the table's delivered
   /// minimum covered them (no member can need a retransmission below it).
@@ -218,7 +198,7 @@ class VsNode {
   /// Rebuilds the watermark table's member rows for the current view.
   void reset_watermarks();
   /// Applies a piggybacked (delivered, safe) pair published by `from` for
-  /// `view` (kWatermark mode; no-op otherwise or across views).
+  /// `view` (no-op across views).
   void apply_watermarks(ProcessId from, const ViewId& view,
                         std::uint64_t delivered, std::uint64_t safe);
   /// Token mode: issue up to the backlog cap and forward the token.
@@ -325,11 +305,11 @@ class VsNode {
   std::vector<std::size_t> member_rows_;
   // Per-destination retransmission cursors (reset on install): tick
   // retransmission resends only the suffix past the peer's acked position,
-  // and only after retransmit_holdoff_ticks without progress while a
+  // and only after kRetransmitHoldoffTicks without progress while a
   // covering copy is in flight. Liveness is preserved: an outstanding
   // suffix is always resent once the holdoff expires, no matter how many
-  // copies were lost before — in kWatermark mode a peer whose published
-  // watermark stalls is therefore re-fed exactly like a silent acker.
+  // copies were lost before, so a peer whose published watermark stalls
+  // is re-fed.
   struct RetxCursor {
     std::uint64_t acked = 0;      // peer ack position at the last progress
     std::uint64_t sent_upto = 0;  // highest seqno a sent copy covers

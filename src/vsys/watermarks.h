@@ -15,10 +15,9 @@
 // O(1) and the minimum still advances exactly when the old scan would have
 // advanced it.
 //
-// The table is transport-agnostic: rows are raised from heartbeats (both
-// stability modes) and from watermarks piggybacked on DATA/SEQ frames
-// (watermark mode), and reconfiguration resets it — the explicit-ack view
-// agreement protocol is untouched.
+// The table is transport-agnostic: rows are raised from heartbeats and from
+// watermarks piggybacked on DATA/SEQ frames, and reconfiguration resets it —
+// the view agreement protocol (PROPOSE/FLUSH_ACK/INSTALL) is untouched.
 #pragma once
 
 #include <algorithm>

@@ -66,10 +66,9 @@ struct Data {
   /// hole in the view's total order.
   std::uint64_t sender_seq = 0;
   Msg payload;
-  /// Watermark piggyback (stability mode kWatermark): the sender's
-  /// delivered and safe counters in `view` at send time, so stability
-  /// information travels at data rate instead of heartbeat rate. Zero (and
-  /// ignored) in explicit-ack mode.
+  /// Watermark piggyback: the sender's delivered and safe counters in
+  /// `view` at send time, so stability information travels at data rate
+  /// instead of heartbeat rate.
   std::uint64_t wm_delivered = 0;
   std::uint64_t wm_safe = 0;
 
@@ -81,9 +80,8 @@ struct Seq {
   std::uint64_t seqno = 0;  // 1-based position in the view's total order
   ProcessId origin;
   Msg payload;
-  /// Watermark piggyback (stability mode kWatermark): the issuer's
-  /// delivered and safe counters at issue/retransmit time. Zero (and
-  /// ignored) in explicit-ack mode.
+  /// Watermark piggyback: the issuer's delivered and safe counters at
+  /// issue/retransmit time.
   std::uint64_t wm_delivered = 0;
   std::uint64_t wm_safe = 0;
 

@@ -87,8 +87,6 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   if (sc.propose_ms != 0) {
     cc.vs.propose_timeout = sc.propose_ms * sim::kMillisecond;
   }
-  cc.vs.stability = sc.watermarks ? vsys::StabilityMode::kWatermark
-                                  : vsys::StabilityMode::kExplicitAck;
   // The oracle checks every event ONLINE; storing the full event streams as
   // well would hold a copy of every TO summary exchanged at every primary
   // establishment — O(history x views) memory on long churny horizons — so

@@ -130,8 +130,6 @@ Scenario Scenario::parse(const std::string& text) {
         s.suspect_ms = parse_u64(word());
       } else if (key == "propose_ms") {
         s.propose_ms = parse_u64(word());
-      } else if (key == "watermarks") {
-        s.watermarks = parse_on_off(word());
       } else if (key == "batching") {
         s.batching = parse_on_off(word());
       } else if (key == "persistence") {
@@ -286,7 +284,6 @@ std::string Scenario::to_string() const {
   if (heartbeat_ms != 0) os << "heartbeat_ms " << heartbeat_ms << "\n";
   if (suspect_ms != 0) os << "suspect_ms " << suspect_ms << "\n";
   if (propose_ms != 0) os << "propose_ms " << propose_ms << "\n";
-  os << "watermarks " << (watermarks ? "on" : "off") << "\n";
   os << "batching " << (batching ? "on" : "off") << "\n";
   os << "persistence " << (persistence ? "on" : "off") << "\n";
   os << "clients " << clients << "\n";

@@ -143,7 +143,6 @@ struct Scenario {
   std::uint64_t propose_ms = 0;
 
   /// Stack knobs, mirroring ChaosConfig.
-  bool watermarks = true;
   bool batching = false;
   bool persistence = false;
 

@@ -8,8 +8,9 @@
 //    delivery sequences, and every receiver the same sequence.
 //  * Chaos sweeps — 200 seeds × n ∈ {2,3,4} through the full FaultPlan
 //    adversary with the spec oracles attached: every seed must be accepted
-//    by both stacks (identical verdicts), and the erratum self-test must
-//    still reject with batching on (batching must not blind the oracle).
+//    by both stacks (identical verdicts), watermark stability must engage
+//    on both, and the erratum self-test must still reject with batching on
+//    (batching must not blind the oracle).
 //  * Merge ordering — with batching enabled, the per-seed ChaosStats and
 //    metric snapshots must aggregate byte-identically for --jobs 1 vs
 //    --jobs 4 (the seed-order merge regression of NetStats' new counters).
@@ -119,14 +120,21 @@ void expect_identical_verdicts(std::size_t n) {
   for (const parallel::ChaosSweepResult* r : {&unbatched, &batched}) {
     EXPECT_LE(r->total.deliveries, r->total.broadcasts * n);
     EXPECT_GE(r->total.deliveries, r->total.broadcasts * n * 95 / 100);
+    // The stability rule engaged on both stacks: piggybacked watermarks
+    // raised table rows, and safe indications flowed.
+    EXPECT_GT(r->total.metrics.counter_sum("vs.watermark_updates"), 0u);
+    EXPECT_GT(r->total.metrics.counter_sum("vs.safes_emitted"), 0u);
   }
   // The batching actually engaged, and it shrank the wire datagram count.
   // (Single-frame flushes travel raw, so datagrams = envelopes + raw frames.)
-  EXPECT_GT(batched.total.batches, 0u);
-  EXPECT_GE(batched.total.datagrams, batched.total.batches);
-  EXPECT_GT(batched.total.batched_msgs, batched.total.batches);
-  EXPECT_LT(batched.total.datagrams, unbatched.total.datagrams);
-  EXPECT_EQ(unbatched.total.batches, 0u);
+  const auto net = [](const parallel::ChaosSweepResult& r, const char* key) {
+    return r.total.metrics.counter_sum(key);
+  };
+  EXPECT_GT(net(batched, "net.batches"), 0u);
+  EXPECT_GE(net(batched, "net.datagrams"), net(batched, "net.batches"));
+  EXPECT_GT(net(batched, "net.batched_msgs"), net(batched, "net.batches"));
+  EXPECT_LT(net(batched, "net.datagrams"), net(unbatched, "net.datagrams"));
+  EXPECT_EQ(net(unbatched, "net.batches"), 0u);
 }
 
 TEST(BatchEquivalenceTest, ChaosVerdictsMatchAtN2) {
@@ -168,8 +176,8 @@ TEST(BatchEquivalenceTest, ParallelSweepMergesIdenticallyForAnyJobCount) {
   const parallel::ChaosSweepResult j4 = sweep(3, true, 4, 60);
   EXPECT_EQ(j1.seeds_failed, 0u);
   EXPECT_EQ(j4.seeds_failed, 0u);
-  // Field-wise totals, including the new batch counters, merge in seed
-  // order: byte-identical whatever the worker count.
+  // Field-wise totals and the metric snapshot (batch counters included)
+  // merge in seed order: byte-identical whatever the worker count.
   EXPECT_TRUE(j1.total == j4.total);
   // And the serialized metric snapshot (what --metrics prints and
   // BENCH_obs.json records) is byte-identical too.

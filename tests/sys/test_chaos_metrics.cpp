@@ -56,17 +56,8 @@ void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
   EXPECT_LE(m.counter_sum("to.deliveries"),
             static_cast<std::uint64_t>(n) * m.counter_sum("to.bcasts"))
       << "n=" << n << " seed=" << seed;
-  // The snapshot and the hand-rolled ChaosStats fields agree — one export
-  // path, not two diverging ones.
-  EXPECT_EQ(m.counter_sum("net.sent"), s.net_sent);
-  EXPECT_EQ(m.counter_sum("net.delivered"), s.net_delivered);
-  EXPECT_EQ(m.counter_sum("net.duplicated"), s.duplicated);
-  EXPECT_EQ(m.counter_sum("net.reordered"), s.reordered);
-  EXPECT_EQ(m.counter_sum("net.truncated"), s.truncated);
-  EXPECT_EQ(m.counter_sum("vs.views_installed"), s.views_installed);
-  EXPECT_EQ(m.counter_sum("vs.decode_errors"), s.decode_errors);
-  EXPECT_EQ(m.counter_sum("vs.duplicates_suppressed"),
-            s.duplicates_suppressed);
+  // Without restarts, the TO delivery counter agrees with the
+  // delivery-log count ChaosStats keeps.
   EXPECT_EQ(m.counter_sum("to.deliveries"), s.deliveries);
   // Span invariants at quiescence: every view change resolved, every
   // delivery inside a client-view tenure, registrations never overlapping.

@@ -49,7 +49,7 @@ TEST(RestartDifferentialTest, SameSeedsConformUnderBothCrashSemantics) {
     ASSERT_FALSE(paused.first_failure.has_value())
         << "pause arm n=" << n << ":\n" << paused.first_failure->message;
     EXPECT_EQ(paused.total.restarts, 0u) << n;
-    EXPECT_GT(paused.total.wal_appends, 0u) << n;
+    EXPECT_GT(paused.total.metrics.counter_sum("storage.appends"), 0u) << n;
 
     ChaosConfig restart_arm = quick_chaos(n);
     restart_arm.crashes_restart = true;
@@ -58,8 +58,11 @@ TEST(RestartDifferentialTest, SameSeedsConformUnderBothCrashSemantics) {
         << "restart arm n=" << n << ":\n" << restarted.first_failure->message;
     // The upgrade actually executed restarts and the journals carried them.
     EXPECT_GT(restarted.total.restarts, 0u) << n;
-    EXPECT_GT(restarted.total.wal_appends, 0u) << n;
-    EXPECT_GT(restarted.total.wal_bytes, 0u) << n;
+    EXPECT_GT(restarted.total.metrics.counter_sum("storage.appends"), 0u)
+        << n;
+    EXPECT_GT(restarted.total.metrics.counter_sum("storage.bytes_written"),
+              0u)
+        << n;
     EXPECT_GT(restarted.total.deliveries, 0u) << n;
     total_seeds += paused.seeds_run + restarted.seeds_run;
   }
@@ -79,13 +82,15 @@ TEST(RestartDifferentialTest, JournalingAloneDoesNotPerturbTheRun) {
   ASSERT_FALSE(a.first_failure.has_value());
   ASSERT_FALSE(b.first_failure.has_value());
   EXPECT_EQ(a.total.events_checked, b.total.events_checked);
-  EXPECT_EQ(a.total.views_installed, b.total.views_installed);
   EXPECT_EQ(a.total.deliveries, b.total.deliveries);
-  EXPECT_EQ(a.total.net_sent, b.total.net_sent);
-  EXPECT_EQ(a.total.net_delivered, b.total.net_delivered);
   EXPECT_EQ(a.total.fault_events, b.total.fault_events);
+  for (const char* key : {"vs.views_installed", "net.sent", "net.delivered"}) {
+    EXPECT_EQ(a.total.metrics.counter_sum(key),
+              b.total.metrics.counter_sum(key))
+        << key;
+  }
   EXPECT_EQ(b.total.restarts, 0u);
-  EXPECT_GT(b.total.wal_bytes, 0u);
+  EXPECT_GT(b.total.metrics.counter_sum("storage.bytes_written"), 0u);
 }
 
 TEST(RestartDifferentialTest, ScriptedRestartEventsConform) {

@@ -1,10 +1,8 @@
-// SST-style watermark stability (vsys/watermarks.h + VsConfig::stability):
-// unit tests of the incremental per-member watermark table, plus VS-level
-// protocol tests pinning the watermark mode's behaviour — identical
-// delivery/safe semantics to the explicit-ack protocol, piggybacked
-// watermark propagation, and the retransmit-liveness regression (a stalled
-// peer watermark must still trip the holdoff resend, exactly like a silent
-// acker in the old protocol).
+// SST-style watermark stability (vsys/watermarks.h): unit tests of the
+// incremental per-member watermark table, plus VS-level protocol tests
+// pinning piggybacked watermark propagation, safe-requires-every-member,
+// and the retransmit-liveness regression (a stalled peer watermark must
+// still trip the holdoff resend).
 #include "vsys/watermarks.h"
 
 #include <gtest/gtest.h>
@@ -134,17 +132,15 @@ Msg opaque(std::uint64_t uid, unsigned sender) {
   return Msg{OpaqueMsg{uid, ProcessId{sender}}};
 }
 
-/// A little VS-only cluster with trace recording and a configurable
-/// VsConfig (mirrors the harness in test_vs_node.cpp, plus the config
-/// knob the stability-mode tests need).
+/// A little VS-only cluster with trace recording (mirrors the harness in
+/// test_vs_node.cpp).
 class VsHarness {
  public:
-  VsHarness(std::size_t n, std::uint64_t seed, VsConfig config)
+  VsHarness(std::size_t n, std::uint64_t seed)
       : rng_(seed),
         universe_(make_universe(n)),
         v0_{ViewId::initial(), make_universe(n)},
-        net_(sim_, rng_, net::NetConfig{}, universe_),
-        config_(config) {
+        net_(sim_, rng_, net::NetConfig{}, universe_) {
     for (ProcessId p : universe_) {
       VsCallbacks cb;
       cb.on_newview = [this, p](const View& v) {
@@ -163,7 +159,7 @@ class VsHarness {
         trace_.push_back(spec::EvGpsnd<Msg>{p, m});
       };
       nodes_[p] = std::make_unique<VsNode>(p, std::optional<View>{v0_}, net_,
-                                           sim_, config_, std::move(cb));
+                                           sim_, VsConfig{}, std::move(cb));
     }
   }
 
@@ -191,19 +187,12 @@ class VsHarness {
   View v0_;
   sim::Simulator sim_;
   net::SimNetwork net_;
-  VsConfig config_;
   std::map<ProcessId, std::unique_ptr<VsNode>> nodes_;
   std::vector<spec::VsEvent> trace_;
 };
 
-VsConfig mode_config(StabilityMode mode) {
-  VsConfig cfg;
-  cfg.stability = mode;
-  return cfg;
-}
-
 TEST(WatermarkModeTest, StableGroupOrdersAndStabilizes) {
-  VsHarness h(3, 1, mode_config(StabilityMode::kWatermark));
+  VsHarness h(3, 1);
   h.start();
   h.run_for(100 * kMillisecond);
   // A rapid burst: several messages deliver between consecutive 20 ms
@@ -233,46 +222,14 @@ TEST(WatermarkModeTest, StableGroupOrdersAndStabilizes) {
   EXPECT_TRUE(r.ok) << r.error;
 }
 
-TEST(WatermarkModeTest, ExplicitAckModeNeverTouchesTheTablePiggyback) {
-  VsHarness h(3, 2, mode_config(StabilityMode::kExplicitAck));
-  h.start();
-  h.run_for(100 * kMillisecond);
-  h.node(0).gpsnd(opaque(1, 0));
-  h.run_for(1 * kSecond);
-  EXPECT_EQ(h.safes_[ProcessId{0}].size(), 1u);
-  for (unsigned i = 0; i < 3; ++i) {
-    EXPECT_EQ(h.node(i).stats().watermark_updates, 0u) << "p" << i;
-  }
-  const auto r = h.check_trace();
-  EXPECT_TRUE(r.ok) << r.error;
-}
-
-TEST(WatermarkModeTest, BothModesDeliverIdenticalSequences) {
-  VsHarness wm(3, 7, mode_config(StabilityMode::kWatermark));
-  VsHarness ack(3, 7, mode_config(StabilityMode::kExplicitAck));
-  for (VsHarness* h : {&wm, &ack}) {
-    h->start();
-    h->run_for(100 * kMillisecond);
-    h->node(0).gpsnd(opaque(1, 0));
-    h->node(1).gpsnd(opaque(2, 1));
-    h->node(2).gpsnd(opaque(3, 2));
-    h->run_for(2 * kSecond);
-  }
-  EXPECT_EQ(wm.delivered_, ack.delivered_);
-  EXPECT_EQ(wm.safes_, ack.safes_);
-  EXPECT_TRUE(wm.views_[ProcessId{0}].empty());
-  EXPECT_TRUE(ack.views_[ProcessId{0}].empty());
-}
-
 TEST(WatermarkModeTest, StalledWatermarkStillRetransmits) {
-  // The satellite-f liveness regression: a partition blip shorter than the
-  // suspect timeout drops the SEQ in flight to p1/p2, so their published
+  // The liveness regression: a partition blip shorter than the suspect
+  // timeout drops the SEQ in flight to p1/p2, so their published
   // watermarks stall at the pre-blip value. Heartbeats (which carry the
-  // watermark columns in both modes) keep flowing after the heal; the
-  // sender's holdoff cursor must treat the stalled watermark exactly like a
-  // silent acker and resend the un-acked suffix — the message must get
-  // through without any view change.
-  VsHarness h(3, 8, mode_config(StabilityMode::kWatermark));
+  // watermark columns) keep flowing after the heal; the sender's holdoff
+  // cursor must treat the stalled watermark as lag and resend the un-acked
+  // suffix — the message must get through without any view change.
+  VsHarness h(3, 8);
   h.start();
   h.run_for(100 * kMillisecond);
   h.node(0).gpsnd(opaque(1, 0));
@@ -290,10 +247,9 @@ TEST(WatermarkModeTest, StalledWatermarkStillRetransmits) {
 }
 
 TEST(WatermarkModeTest, SafeRequiresEveryMemberUnderPause) {
-  // A paused (but not yet suspected) member blocks stability in watermark
-  // mode just as it blocks acks: min over the table cannot advance past a
-  // silent row.
-  VsHarness h(3, 9, mode_config(StabilityMode::kWatermark));
+  // A paused (but not yet suspected) member blocks stability: min over the
+  // table cannot advance past a silent row.
+  VsHarness h(3, 9);
   h.start();
   h.run_for(100 * kMillisecond);
   h.net().pause(ProcessId{2});

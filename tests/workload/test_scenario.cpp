@@ -40,7 +40,6 @@ Scenario full_scenario() {
   s.heartbeat_ms = 40;
   s.suspect_ms = 200;
   s.propose_ms = 500;
-  s.watermarks = false;
   s.batching = true;
   s.persistence = true;
   s.clients = 6;
@@ -122,7 +121,9 @@ TEST(ScenarioFormat, RejectsMalformedInputWithTheOffendingLine) {
   reject("bogus 1\n", "unknown key");
   reject("n 3 extra\n", "trailing token");
   reject("n abc\n", "malformed number");
-  reject("watermarks maybe\n", "on|off");
+  // The retired stability knob fails loudly instead of being ignored.
+  reject("watermarks on\n", "unknown key 'watermarks'");
+  reject("batching maybe\n", "on|off");
   reject("loop sideways\n", "closed|open");
   reject("dist pareto\n", "unknown key distribution");
   reject("horizon_ms 2000\nwarmup_ms 2000\n", "warmup");
