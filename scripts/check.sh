@@ -159,6 +159,11 @@ cmake --build build-tsan --target shard_isolation_test
 ./build-tsan/tests/shard_isolation_test
 ./build-tsan/examples/model_checker --chaos --smoke --shards 1 --metrics --jobs 4 | tee /tmp/chaos_tsan_k1_j4.json >/dev/null
 ./build-tsan/examples/model_checker --chaos --smoke --shards 1 --metrics --jobs 1 | cmp - /tmp/chaos_tsan_k1_j4.json
+# The same at K=3 r=2: every seed owns a GroupMux (and its scratch
+# encode/decode buffers) inside the worker pool, and the three columns'
+# frames share that one mux.
+./build-tsan/examples/model_checker --chaos --smoke --shards 3 --replication 2 --metrics --jobs 4 | tee /tmp/chaos_tsan_k3_j4.json >/dev/null
+./build-tsan/examples/model_checker --chaos --smoke --shards 3 --replication 2 --metrics --jobs 1 | cmp - /tmp/chaos_tsan_k3_j4.json
 # The sharded scenario's SLO report is byte-identical at any worker count —
 # the same determinism contract the unsharded scenarios pin above.
 ./build/examples/model_checker --scenario scenarios/sharded-steady.scn --jobs 4 | tee /tmp/scn_shard_j4.json >/dev/null

@@ -78,35 +78,6 @@ std::uint64_t realtime_us() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000ULL;
 }
 
-// The pool membership group's Transport: untagged datagrams on the shared
-// socket (column traffic is group-framed, transfer frames are 0x48-tagged,
-// so the default-handler channel is exclusively the pool VS protocol's).
-class Daemon::PoolTransport : public net::Transport {
- public:
-  PoolTransport(shard::GroupMux& mux, std::size_t n)
-      : mux_(mux), procs_(make_universe(n)) {}
-
-  void attach(ProcessId p, Handler handler) override {
-    mux_.attach_default(p, std::move(handler));
-  }
-  void send(ProcessId from, ProcessId to, const Bytes& payload) override {
-    mux_.base().send(from, to, payload);
-  }
-  [[nodiscard]] std::size_t max_datagram_size() const override {
-    return mux_.base().max_datagram_size();
-  }
-  [[nodiscard]] const net::NetStats& stats() const override {
-    return mux_.base().stats();
-  }
-  [[nodiscard]] const ProcessSet& processes() const override {
-    return procs_;
-  }
-
- private:
-  shard::GroupMux& mux_;
-  ProcessSet procs_;
-};
-
 Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   config_.validate();
   const net::UdpEndpoint& self_ep = config_.peers.at(config_.node);
@@ -217,7 +188,14 @@ void Daemon::build_columns() {
         config_.node, [this](ProcessId from, const shard::TransferFrame& f) {
           handle_transfer(from, f);
         });
-    build_pool_group();
+    // The pool membership group runs untagged on the shared socket: column
+    // traffic is group-framed and transfer frames are 0x48-tagged.
+    vsys::VsCallbacks cb;
+    cb.on_newview = [this](const View& v) { apply_pool_view(v); };
+    pool_vs_ = shard::build_pool_member(config_.node, config_.n,
+                                        mux_->untagged(), sim_,
+                                        config_.vs_config(), std::move(cb),
+                                        pool_store_.get());
   }
 }
 
@@ -263,23 +241,6 @@ Daemon::Column& Daemon::open_column(const shard::ShardAssignment& a,
   col->runtime->bind_metrics(col->metrics);
   columns_.push_back(std::move(col));
   return *columns_.back();
-}
-
-void Daemon::build_pool_group() {
-  pool_net_ = std::make_unique<PoolTransport>(*mux_, config_.n);
-  const std::string key = "pool/" + config_.node.to_string() + "/vs";
-  const bool recovered = pool_store_->load(key).has_value();
-  vsys::VsCallbacks cb;
-  cb.on_newview = [this](const View& v) { apply_pool_view(v); };
-  const View pool_v0{ViewId::initial(), make_universe(config_.n)};
-  pool_vs_ = std::make_unique<vsys::VsNode>(
-      config_.node,
-      recovered ? std::nullopt : std::optional<View>{pool_v0}, *pool_net_,
-      sim_, config_.vs_config(), std::move(cb));
-  if (recovered) {
-    pool_vs_->restore_epoch(vsys::VsNode::recover_epoch(*pool_store_, key));
-  }
-  pool_vs_->attach_storage(*pool_store_, key);
 }
 
 void Daemon::apply_pool_view(const View& view) {

@@ -95,10 +95,6 @@ class Daemon {
   }
 
  private:
-  /// Untagged-datagram Transport view of the shared socket — the pool
-  /// membership group's wire (defined in daemon.cpp).
-  class PoolTransport;
-
   /// One joiner bootstrap in flight: the transfer request retries until the
   /// donor's snapshot chunks assemble, then the column opens over them. The
   /// entry survives a failed install (the retry timer re-requests) and is
@@ -121,7 +117,6 @@ class Daemon {
   Column& open_column(const shard::ShardAssignment& a,
                       std::uint64_t handoff_next);
   [[nodiscard]] std::string column_wal_dir(std::uint32_t group) const;
-  void build_pool_group();
   void apply_pool_view(const View& view);
   void start_join(std::uint32_t group, ProcessId slot, ProcessId donor,
                   const shard::ShardAssignment& prior);
@@ -144,7 +139,6 @@ class Daemon {
   shard::ShardRouter router_{1};  // rebuilt with K in build_columns()
   // Dynamic re-provisioning (config.dynamic): the pool membership group and
   // the in-flight joiner bootstraps.
-  std::unique_ptr<PoolTransport> pool_net_;
   std::unique_ptr<storage::FileStableStore> pool_store_;
   std::unique_ptr<vsys::VsNode> pool_vs_;
   std::map<std::uint32_t, PendingJoin> joins_;

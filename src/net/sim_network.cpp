@@ -35,38 +35,7 @@ void SimNetwork::attach(ProcessId p, Handler handler) {
   if (!processes_.contains(p)) {
     throw std::logic_error("attach: unknown process " + p.to_string());
   }
-  default_.handlers[p] = std::move(handler);
-}
-
-void SimNetwork::open_group(std::uint32_t group, std::uint64_t seed) {
-  if (group == 0) {
-    throw std::logic_error("open_group: group 0 is the default channel");
-  }
-  auto [it, inserted] = groups_.try_emplace(group);
-  if (!inserted) {
-    throw std::logic_error("open_group: group already open");
-  }
-  it->second.rng.emplace(seed);
-}
-
-SimNetwork::Channel& SimNetwork::group_channel(std::uint32_t group) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    throw std::logic_error("group channel not open: " + std::to_string(group));
-  }
-  return it->second;
-}
-
-void SimNetwork::attach_group(std::uint32_t group, ProcessId p,
-                              Handler handler) {
-  if (!processes_.contains(p)) {
-    throw std::logic_error("attach_group: unknown process " + p.to_string());
-  }
-  group_channel(group).handlers[p] = std::move(handler);
-}
-
-void SimNetwork::detach_group(std::uint32_t group, ProcessId p) {
-  group_channel(group).handlers.erase(p);
+  handlers_[p] = std::move(handler);
 }
 
 int SimNetwork::group_of(ProcessId p) const {
@@ -94,27 +63,26 @@ sim::Time SimNetwork::link_base_delay(ProcessId from, ProcessId to) const {
   return config_.region_delay[region_of(from)][region_of(to)];
 }
 
-void SimNetwork::schedule_delivery(Channel& ch, ProcessId from, ProcessId to,
+void SimNetwork::schedule_delivery(ProcessId from, ProcessId to,
                                    const Bytes& payload) {
-  Rng& rng = chan_rng(ch);
   sim::Time delay = link_base_delay(from, to);
   if (config_.jitter_mean_us > 0.0) {
-    delay += static_cast<sim::Time>(rng.exponential(config_.jitter_mean_us));
+    delay += static_cast<sim::Time>(rng_.exponential(config_.jitter_mean_us));
   }
   sim::Time at = sim_.now() + delay;
   if (config_.reorder_probability > 0.0 &&
-      rng.chance(config_.reorder_probability)) {
+      rng_.chance(config_.reorder_probability)) {
     // Reordered delivery: bypass the link clock entirely — later sends can
     // overtake this one within the bounded window.
     if (config_.reorder_window > 0) {
       at += static_cast<sim::Time>(
-          rng.below(static_cast<std::size_t>(config_.reorder_window) + 1));
+          rng_.below(static_cast<std::size_t>(config_.reorder_window) + 1));
     }
     ++stats_.reordered;
   } else {
     // FIFO per ordered pair: never deliver before an earlier send on the
     // link.
-    auto& clock = ch.link_clock[{from, to}];
+    auto& clock = link_clock_[{from, to}];
     at = std::max(at, clock + 1);
     clock = at;
   }
@@ -125,14 +93,13 @@ void SimNetwork::schedule_delivery(Channel& ch, ProcessId from, ProcessId to,
   // steady-state send performs no heap allocation.
   const MsgArena::Handle h = arena_.acquire();
   arena_.at(h) = payload;
-  Channel* chp = &ch;
-  sim_.schedule_at(at, [this, chp, from, to, h] {
-    deliver_payload(*chp, from, to, arena_.at(h));
+  sim_.schedule_at(at, [this, from, to, h] {
+    deliver_payload(from, to, arena_.at(h));
     arena_.release(h);
   });
 }
 
-void SimNetwork::deliver_payload(Channel& ch, ProcessId from, ProcessId to,
+void SimNetwork::deliver_payload(ProcessId from, ProcessId to,
                                  const Bytes& payload) {
   // Re-check connectivity at delivery: partitions and pauses that
   // happened in flight lose the message.
@@ -140,8 +107,8 @@ void SimNetwork::deliver_payload(Channel& ch, ProcessId from, ProcessId to,
     ++stats_.dropped_partition;
     return;
   }
-  auto it = ch.handlers.find(to);
-  if (it == ch.handlers.end()) return;
+  auto it = handlers_.find(to);
+  if (it == handlers_.end()) return;
   // Coalesced flushes travel as BATCH envelopes; single-message flushes
   // (and all unbatched traffic) travel as the raw frame. The tag byte
   // (outside the vsys wire Tag range) disambiguates on delivery.
@@ -156,17 +123,17 @@ void SimNetwork::deliver_payload(Channel& ch, ProcessId from, ProcessId to,
   // datagram. Frames are handed up through one reused scratch buffer —
   // handlers decode synchronously and must not retain the reference.
   const bool clean = visit_batch_frames(
-      payload, [this, &ch, from, &it](const std::byte* p, std::size_t len) {
-        ch.frame_scratch.assign(p, p + len);
+      payload, [this, from, &it](const std::byte* p, std::size_t len) {
+        frame_scratch_.assign(p, p + len);
         ++stats_.delivered;
-        it->second(from, ch.frame_scratch);
+        it->second(from, frame_scratch_);
       });
   if (!clean) ++stats_.batch_salvaged;
 }
 
-void SimNetwork::enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
+void SimNetwork::enqueue_batch(ProcessId from, ProcessId to,
                                const Bytes& payload) {
-  PendingBatch& batch = ch.pending[link_key(from, to)];
+  PendingBatch& batch = pending_[link_key(from, to)];
   batch.bytes += payload.size();
   const MsgArena::Handle h = arena_.acquire();
   arena_.at(h) = payload;
@@ -174,39 +141,38 @@ void SimNetwork::enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
   if (batch.handles.size() >= config_.batch_max_msgs ||
       batch.bytes >= config_.batch_max_bytes) {
     ++stats_.batch_cap_flushes;
-    flush_batch(ch, from, to);
+    flush_batch(from, to);
     return;
   }
   if (batch.flush_scheduled) return;
   batch.flush_scheduled = true;
-  Channel* chp = &ch;
   if (config_.batch_window == 0) {
     // End-of-instant coalescing: one sweep event flushes every dirty link,
     // in the order their first message arrived (deterministic).
-    ch.dirty.emplace_back(from, to);
-    if (!ch.sweep_scheduled) {
-      ch.sweep_scheduled = true;
-      sim_.schedule_at(sim_.now(), [this, chp] { flush_all_batches(*chp); });
+    dirty_.emplace_back(from, to);
+    if (!sweep_scheduled_) {
+      sweep_scheduled_ = true;
+      sim_.schedule_at(sim_.now(), [this] { flush_all_batches(); });
     }
   } else {
     sim_.schedule_at(sim_.now() + config_.batch_window,
-                     [this, chp, from, to] { flush_batch(*chp, from, to); });
+                     [this, from, to] { flush_batch(from, to); });
   }
 }
 
-void SimNetwork::flush_all_batches(Channel& ch) {
-  ch.sweep_scheduled = false;
+void SimNetwork::flush_all_batches() {
+  sweep_scheduled_ = false;
   // Index loop: flush_batch never appends to dirty, but stay safe against
   // iterator invalidation if that ever changes.
-  for (std::size_t i = 0; i < ch.dirty.size(); ++i) {
-    flush_batch(ch, ch.dirty[i].first, ch.dirty[i].second);
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    flush_batch(dirty_[i].first, dirty_[i].second);
   }
-  ch.dirty.clear();
+  dirty_.clear();
 }
 
-void SimNetwork::flush_batch(Channel& ch, ProcessId from, ProcessId to) {
-  auto it = ch.pending.find(link_key(from, to));
-  if (it == ch.pending.end()) return;
+void SimNetwork::flush_batch(ProcessId from, ProcessId to) {
+  auto it = pending_.find(link_key(from, to));
+  if (it == pending_.end()) return;
   PendingBatch& batch = it->second;
   batch.flush_scheduled = false;
   // A cap flush may already have emptied this batch; the sweep (or a
@@ -214,8 +180,7 @@ void SimNetwork::flush_batch(Channel& ch, ProcessId from, ProcessId to) {
   const std::size_t n = batch.handles.size();
   if (n == 0) return;
   if (batch_fill_ != nullptr) batch_fill_->observe(n);
-  Rng& rng = chan_rng(ch);
-  // A flush that coalesced nothing goes out as the raw frame — the envelope
+    // A flush that coalesced nothing goes out as the raw frame — the envelope
   // framing only pays for itself when it carries several messages, and the
   // receiver disambiguates by the tag byte. Multi-frame envelopes are
   // encoded into one reused Writer straight from the arena slots, so
@@ -226,33 +191,32 @@ void SimNetwork::flush_batch(Channel& ch, ProcessId from, ProcessId to) {
   } else {
     ++stats_.batches;
     stats_.batched_msgs += n;
-    ch.batch_writer.clear();
-    ch.batch_writer.u8(kBatchTag);
-    ch.batch_writer.varuint(n);
+    batch_writer_.clear();
+    batch_writer_.u8(kBatchTag);
+    batch_writer_.varuint(n);
     for (MsgArena::Handle h : batch.handles) {
-      ch.batch_writer.bytes_field(arena_.at(h));
+      batch_writer_.bytes_field(arena_.at(h));
     }
-    datagram = &ch.batch_writer.buffer();
+    datagram = &batch_writer_.buffer();
   }
   // The in-flight corruption fault applies to the datagram actually on the
   // wire: one truncation draw per datagram, potentially damaging the tail
   // of a whole batch. The mutation lands in a scratch copy so the writer /
   // arena slot stays intact.
   if (config_.truncate_probability > 0.0 && !datagram->empty() &&
-      rng.chance(config_.truncate_probability)) {
-    const auto keep = static_cast<std::ptrdiff_t>(rng.below(datagram->size()));
-    ch.trunc_scratch.assign(datagram->begin(), datagram->begin() + keep);
-    datagram = &ch.trunc_scratch;
+      rng_.chance(config_.truncate_probability)) {
+    const auto keep = static_cast<std::ptrdiff_t>(rng_.below(datagram->size()));
+    trunc_scratch_.assign(datagram->begin(), datagram->begin() + keep);
+    datagram = &trunc_scratch_;
     ++stats_.truncated;
   }
-  schedule_delivery(ch, from, to, *datagram);
+  schedule_delivery(from, to, *datagram);
   for (MsgArena::Handle h : batch.handles) arena_.release(h);
   batch.handles.clear();  // keeps the vector's capacity for the next batch
   batch.bytes = 0;
 }
 
-void SimNetwork::send_on(Channel& ch, ProcessId from, ProcessId to,
-                         const Bytes& payload) {
+void SimNetwork::send(ProcessId from, ProcessId to, const Bytes& payload) {
   ++stats_.sent;
   stats_.bytes_sent += payload.size();
   if (paused_.contains(from) || paused_.contains(to)) {
@@ -263,21 +227,20 @@ void SimNetwork::send_on(Channel& ch, ProcessId from, ProcessId to,
     ++stats_.dropped_partition;
     return;
   }
-  Rng& rng = chan_rng(ch);
-  if (config_.drop_probability > 0.0 && rng.chance(config_.drop_probability)) {
+  if (config_.drop_probability > 0.0 && rng_.chance(config_.drop_probability)) {
     ++stats_.dropped_random;
     return;
   }
   const Bytes* wire = &payload;
   if (!config_.batching && config_.truncate_probability > 0.0 &&
-      !payload.empty() && rng.chance(config_.truncate_probability)) {
+      !payload.empty() && rng_.chance(config_.truncate_probability)) {
     // Corrupt rather than drop: deliver a proper prefix (possibly empty).
     // When batching, the truncation draw happens per envelope at flush
     // instead (flush_batch). The caller's buffer is const, so the mutated
     // copy lands in reused scratch.
-    const auto keep = static_cast<std::ptrdiff_t>(rng.below(payload.size()));
-    ch.trunc_scratch.assign(payload.begin(), payload.begin() + keep);
-    wire = &ch.trunc_scratch;
+    const auto keep = static_cast<std::ptrdiff_t>(rng_.below(payload.size()));
+    trunc_scratch_.assign(payload.begin(), payload.begin() + keep);
+    wire = &trunc_scratch_;
     ++stats_.truncated;
   }
   // Extra copies first decide how many, then every copy (original included)
@@ -286,46 +249,21 @@ void SimNetwork::send_on(Channel& ch, ProcessId from, ProcessId to,
   std::size_t extra = 0;
   while (extra < config_.max_duplicates &&
          config_.duplicate_probability > 0.0 &&
-         rng.chance(config_.duplicate_probability)) {
+         rng_.chance(config_.duplicate_probability)) {
     ++extra;
   }
   stats_.duplicated += extra;
   if (config_.batching) {
     for (std::size_t copy = 0; copy < extra; ++copy) {
-      enqueue_batch(ch, from, to, *wire);
+      enqueue_batch(from, to, *wire);
     }
-    enqueue_batch(ch, from, to, *wire);
+    enqueue_batch(from, to, *wire);
     return;
   }
   for (std::size_t copy = 0; copy < extra; ++copy) {
-    schedule_delivery(ch, from, to, *wire);
+    schedule_delivery(from, to, *wire);
   }
-  schedule_delivery(ch, from, to, *wire);
-}
-
-void SimNetwork::send(ProcessId from, ProcessId to, const Bytes& payload) {
-  send_on(default_, from, to, payload);
-}
-
-void SimNetwork::multicast(ProcessId from, const ProcessSet& targets,
-                           const Bytes& payload) {
-  for (ProcessId to : targets) {
-    send_on(default_, from, to, payload);
-  }
-}
-
-void SimNetwork::send_group(std::uint32_t group, ProcessId from, ProcessId to,
-                            const Bytes& payload) {
-  send_on(group_channel(group), from, to, payload);
-}
-
-void SimNetwork::multicast_group(std::uint32_t group, ProcessId from,
-                                 const ProcessSet& targets,
-                                 const Bytes& payload) {
-  Channel& ch = group_channel(group);
-  for (ProcessId to : targets) {
-    send_on(ch, from, to, payload);
-  }
+  schedule_delivery(from, to, *wire);
 }
 
 void SimNetwork::set_partition(const std::vector<ProcessSet>& groups) {

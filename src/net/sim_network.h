@@ -25,13 +25,15 @@
 //
 // Payloads are encoded byte buffers: every protocol above this layer
 // serializes its messages (common/serialize.h), keeping the stack honest
-// about what crosses the wire.
+// about what crosses the wire. The network has one channel and knows
+// nothing of shards: a sharded cluster frames its group tags in band over
+// it with shard::GroupMux, exactly as dvsd does over UDP, so pause and
+// partition cut every group of a process at once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -113,8 +115,6 @@ struct NetConfig {
 
 class SimNetwork : public Transport {
  public:
-  using Handler = Transport::Handler;
-
   SimNetwork(sim::Simulator& sim, Rng& rng, NetConfig config,
              ProcessSet processes);
 
@@ -126,41 +126,6 @@ class SimNetwork : public Transport {
   /// buffer immediately — the broadcast hot paths hand the same scratch
   /// encoding to every destination.
   void send(ProcessId from, ProcessId to, const Bytes& payload) override;
-
-  /// Sends to every process in `targets` (including `from` if present).
-  void multicast(ProcessId from, const ProcessSet& targets,
-                 const Bytes& payload) override;
-
-  // ----- group channels (sharded clusters) -----------------------------------
-  //
-  // A sharded cluster (src/shard) runs many independent protocol columns
-  // over one simulated network. Each column gets its own *channel*: its own
-  // handlers, FIFO link clocks, batch state and — crucially — its own Rng
-  // seeded per group, so the fault-draw sequence one shard observes never
-  // depends on sibling traffic. The group tag travels out-of-band here
-  // (structural demux, unlike the in-band wire.h GroupFrame the real
-  // transports use) because an in-band prefix would change simulated
-  // payload sizes and thereby truncation offsets and batch byte caps —
-  // breaking the K=1 byte-identity differential. Faults stay process-level
-  // and shared: pause/partition affect every channel of a process, exactly
-  // like unplugging a machine. Channel 0 is the legacy/default channel that
-  // attach()/send() address; stats_ aggregates all channels (pool-level).
-
-  /// Creates channel `group` with its own fault Rng. Must precede any
-  /// attach_group/send_group for it; group 0 and re-opening are errors.
-  void open_group(std::uint32_t group, std::uint64_t seed);
-  void attach_group(std::uint32_t group, ProcessId p, Handler handler);
-  /// Removes p's handler on channel `group` (no-op if absent). Used by shard
-  /// re-provisioning: when a column migrates off a departed process, its old
-  /// handler would otherwise dangle once the column's node objects die.
-  void detach_group(std::uint32_t group, ProcessId p);
-  void send_group(std::uint32_t group, ProcessId from, ProcessId to,
-                  const Bytes& payload);
-  void multicast_group(std::uint32_t group, ProcessId from,
-                       const ProcessSet& targets, const Bytes& payload);
-  [[nodiscard]] bool has_group(std::uint32_t group) const {
-    return groups_.contains(group);
-  }
 
   // ----- fault injection -----------------------------------------------------
 
@@ -221,55 +186,19 @@ class SimNetwork : public Transport {
     bool flush_scheduled = false;
   };
 
-  /// Everything that must be independent per group so channels cannot
-  /// perturb each other: handlers, FIFO clocks, batch state, scratch, and
-  /// (for non-default channels) a dedicated fault Rng. Faults (pause /
-  /// partition), stats and the payload arena stay process- / network-global.
-  struct Channel {
-    // Engaged on group channels; the default channel draws from the
-    // injected rng_ so pre-sharding behaviour is bit-for-bit unchanged.
-    std::optional<Rng> rng;
-    std::map<ProcessId, Handler> handlers;
-    // FIFO link enforcement: earliest permissible delivery time per link.
-    std::map<std::pair<ProcessId, ProcessId>, sim::Time> link_clock;
-    std::unordered_map<std::uint64_t, PendingBatch> pending;
-    // With batch_window == 0 every dirty link is flushed by one
-    // end-of-instant sweep event (in first-message order, so runs stay
-    // deterministic) instead of one scheduled event per link per instant.
-    std::vector<std::pair<ProcessId, ProcessId>> dirty;
-    bool sweep_scheduled = false;
-    // Reused buffer for handing envelope frames to handlers without a fresh
-    // allocation per frame (handlers decode synchronously).
-    Bytes frame_scratch;
-    // Reused encoder for multi-frame envelopes and scratch for the rare
-    // in-flight truncation mutation.
-    Writer batch_writer;
-    Bytes trunc_scratch;
-  };
-
   [[nodiscard]] int group_of(ProcessId p) const;
   /// WAN region of p per config_.process_region (region 0 when unmapped).
   [[nodiscard]] std::size_t region_of(ProcessId p) const;
   /// Base propagation delay for the (from, to) link: the region matrix when
   /// configured, base_delay otherwise.
   [[nodiscard]] sim::Time link_base_delay(ProcessId from, ProcessId to) const;
-  /// The channel's fault Rng (the injected rng_ on the default channel).
-  [[nodiscard]] Rng& chan_rng(Channel& ch) {
-    return ch.rng.has_value() ? *ch.rng : rng_;
-  }
-  [[nodiscard]] Channel& group_channel(std::uint32_t group);
-  void send_on(Channel& ch, ProcessId from, ProcessId to,
-               const Bytes& payload);
-  void schedule_delivery(Channel& ch, ProcessId from, ProcessId to,
-                         const Bytes& payload);
+  void schedule_delivery(ProcessId from, ProcessId to, const Bytes& payload);
   /// The delivery-time half of schedule_delivery: connectivity re-check,
   /// handler dispatch, envelope salvage.
-  void deliver_payload(Channel& ch, ProcessId from, ProcessId to,
-                       const Bytes& payload);
-  void enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
-                     const Bytes& payload);
-  void flush_batch(Channel& ch, ProcessId from, ProcessId to);
-  void flush_all_batches(Channel& ch);
+  void deliver_payload(ProcessId from, ProcessId to, const Bytes& payload);
+  void enqueue_batch(ProcessId from, ProcessId to, const Bytes& payload);
+  void flush_batch(ProcessId from, ProcessId to);
+  void flush_all_batches();
 
   /// Packed (from, to) key for the O(1) per-send batch lookup.
   static std::uint64_t link_key(ProcessId from, ProcessId to) {
@@ -283,15 +212,24 @@ class SimNetwork : public Transport {
   ProcessSet processes_;
   std::map<ProcessId, int> partition_group_;  // empty = fully connected
   ProcessSet paused_;
-  // The legacy/unsharded channel (attach/send/multicast) plus one channel
-  // per opened group. node-based map: scheduled closures hold Channel*
-  // across inserts, so addresses must be stable.
-  Channel default_;
-  std::map<std::uint32_t, Channel> groups_;
+  std::map<ProcessId, Handler> handlers_;
+  // FIFO link enforcement: earliest permissible delivery time per link.
+  std::map<std::pair<ProcessId, ProcessId>, sim::Time> link_clock_;
+  std::unordered_map<std::uint64_t, PendingBatch> pending_;
+  // With batch_window == 0 every dirty link is flushed by one end-of-instant
+  // sweep event (in first-message order, so runs stay deterministic) instead
+  // of one scheduled event per link per instant.
+  std::vector<std::pair<ProcessId, ProcessId>> dirty_;
+  bool sweep_scheduled_ = false;
+  // Reused buffer for handing envelope frames to handlers without a fresh
+  // allocation per frame (handlers decode synchronously).
+  Bytes frame_scratch_;
+  // Reused encoder for multi-frame envelopes and scratch for the rare
+  // in-flight truncation mutation.
+  Writer batch_writer_;
+  Bytes trunc_scratch_;
   NetStats stats_;
-  // Recycled in-flight payload slab and the batch frames' store. Shared by
-  // all channels — slot handles are channel-agnostic, and acquisition order
-  // cannot leak into any channel's observable behaviour.
+  // Recycled in-flight payload slab and the batch frames' store.
   MsgArena arena_;
   // Batch fill (frames per flush, single-frame flushes included), published
   // when batching is on.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "vsys/wire.h"
-
 namespace dvs::shard {
 
 GroupMux::Port& GroupMux::open(std::uint32_t group,
@@ -20,21 +18,15 @@ GroupMux::Port& GroupMux::open(std::uint32_t group,
   return *it->second;
 }
 
-void GroupMux::attach_default(ProcessId pool_p,
-                              net::Transport::Handler handler) {
-  default_handlers_[pool_p] = std::move(handler);
-  ensure_attached(pool_p);
+void GroupMux::Untagged::attach(ProcessId p, Handler handler) {
+  mux_.untagged_handlers_[p] = std::move(handler);
+  mux_.ensure_attached(p);
 }
 
 void GroupMux::close(std::uint32_t group) {
   ports_.erase(group);
-  for (auto it = handlers_.begin(); it != handlers_.end();) {
-    if (it->first.first == group) {
-      it = handlers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(handlers_,
+                [group](const auto& h) { return h.first.first == group; });
 }
 
 void GroupMux::set_transfer_handler(ProcessId pool_p,
@@ -78,34 +70,34 @@ void GroupMux::dispatch(ProcessId pool_to, ProcessId pool_from,
     return;
   }
   if (!vsys::looks_like_group_frame(payload)) {
-    auto it = default_handlers_.find(pool_to);
-    if (it != default_handlers_.end()) {
+    auto it = untagged_handlers_.find(pool_to);
+    if (it != untagged_handlers_.end()) {
       it->second(pool_from, payload);
     } else {
       ++unroutable_;
     }
     return;
   }
-  vsys::GroupFrame frame;
   try {
-    frame = vsys::decode_group_frame(payload);
+    vsys::decode_group_frame(payload, rx_);
   } catch (const DecodeError&) {
     // A frame truncated below its header is indistinguishable from any
     // other corrupt datagram: drop it here; nothing above could route it.
     ++unroutable_;
     return;
   }
-  auto it = handlers_.find({frame.group, pool_to});
+  auto it = handlers_.find({rx_.group, pool_to});
   if (it == handlers_.end()) {
     ++unroutable_;
     return;
   }
-  it->second(pool_from, frame.payload);
+  it->second(pool_from, rx_.payload);
 }
 
-void GroupMux::send_framed(std::uint32_t group, ProcessId pool_from,
-                           ProcessId pool_to, const Bytes& payload) {
-  base_.send(pool_from, pool_to, vsys::encode_group_frame(group, payload));
+const Bytes& GroupMux::framed(std::uint32_t group, const Bytes& payload) {
+  scratch_.clear();
+  vsys::encode_group_frame(group, payload, scratch_);
+  return scratch_.buffer();
 }
 
 ProcessId GroupMux::Port::to_local(ProcessId pool) const {
@@ -134,9 +126,23 @@ void GroupMux::Port::attach(ProcessId local, Handler handler) {
   mux_.ensure_attached(pool_p);
 }
 
+void GroupMux::Port::remap(ProcessId local, ProcessId pool) {
+  ProcessId& slot = pool_.at(local.value());
+  if (slot == pool) return;
+  mux_.handlers_.erase({group_, slot});
+  slot = pool;
+}
+
 void GroupMux::Port::send(ProcessId from, ProcessId to,
                           const Bytes& payload) {
-  mux_.send_framed(group_, to_pool(from), to_pool(to), payload);
+  mux_.base_.send(to_pool(from), to_pool(to), mux_.framed(group_, payload));
+}
+
+void GroupMux::Port::multicast(ProcessId from, const ProcessSet& targets,
+                               const Bytes& payload) {
+  const Bytes& frame = mux_.framed(group_, payload);
+  const ProcessId pool_from = to_pool(from);
+  for (ProcessId to : targets) mux_.base_.send(pool_from, to_pool(to), frame);
 }
 
 }  // namespace dvs::shard

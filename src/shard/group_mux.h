@@ -1,18 +1,18 @@
-// GroupMux: in-band group multiplexing over any real net::Transport.
+// GroupMux: in-band group multiplexing over any net::Transport — the one
+// multiplexer of the simulated ShardCluster and of sharded dvsd.
 //
-// Where the simulator carries the shard tag structurally (SimNetwork group
-// channels), a real wire carries exactly bytes — so every datagram of a
-// sharded deployment is prefixed with the vsys::GroupFrame header
-// (kGroupFrameTag | varuint group_id | payload), and the receiving side
-// demuxes on it. GroupMux installs ONE handler per pool process on the
-// underlying transport and fans frames out to the per-group ports; traffic
-// without a group frame (legacy daemons, the pool-level membership group's
-// own protocol if it chooses to run untagged) is routed to the default
-// handler for that process.
+// A wire carries exactly bytes, so every datagram of a shard column is
+// prefixed with the vsys::GroupFrame header (kGroupFrameTag | varuint
+// group_id | payload), and the receiving side demuxes on it. GroupMux
+// installs ONE handler per pool process on the underlying transport and fans
+// frames out to the per-group ports. Traffic without a group frame belongs
+// to the pool membership group, which runs over the mux's untagged port;
+// state-transfer frames (0x48) have their own per-destination handler.
 //
-// Each port translates shard-local ProcessIds (0..r-1) to pool ids exactly
-// like shard::GroupPort does for the simulator, so a tosys column or a
-// daemon::NodeRuntime can run over a port unmodified.
+// Each port translates shard-local ProcessIds (0..r-1) to pool ids, so a
+// tosys column or a daemon::NodeRuntime runs over a port unmodified. Over a
+// SimNetwork one mux holds every pool process's handlers; in dvsd it holds
+// only the daemon's own.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/serialize.h"
 #include "common/types.h"
 #include "common/view.h"
 #include "net/transport.h"
 #include "shard/reprovision.h"
+#include "vsys/wire.h"
 
 namespace dvs::shard {
 
@@ -33,18 +35,19 @@ class GroupMux {
  public:
   class Port;
 
-  explicit GroupMux(net::Transport& base) : base_(base) {}
+  explicit GroupMux(net::Transport& base) : base_(base), untagged_(*this) {}
   GroupMux(const GroupMux&) = delete;
   GroupMux& operator=(const GroupMux&) = delete;
 
   /// Opens the port for `group`; `pool_replicas` ascending, local id i =
   /// pool_replicas[i]. The port is owned by the mux and valid for its
   /// lifetime. Throws on a duplicate group or group 0 (0 marks untagged
-  /// traffic — use attach_default).
+  /// traffic — see untagged()).
   Port& open(std::uint32_t group, std::vector<ProcessId> pool_replicas);
 
-  /// Handler for datagrams addressed to `pool_p` that carry no group frame.
-  void attach_default(ProcessId pool_p, net::Transport::Handler handler);
+  /// The pool membership group's Transport: datagrams without a group
+  /// frame, sent raw on the base transport, addressed by pool id.
+  [[nodiscard]] net::Transport& untagged() { return untagged_; }
 
   /// Closes the port for `group`: the port object is destroyed and every
   /// handler it installed is removed (subsequent frames for the group count
@@ -63,28 +66,56 @@ class GroupMux {
   void send_transfer(ProcessId pool_from, ProcessId pool_to,
                      const TransferFrame& frame);
 
-  [[nodiscard]] net::Transport& base() { return base_; }
-  /// Datagrams whose group frame named a group with no open port (or no
-  /// handler attached for the destination) — dropped, counted.
+  /// Datagrams dropped because nothing could route them — a group frame
+  /// too short to decode, a group with no open port here, no handler
+  /// attached for the destination, or a sender outside the group's replica
+  /// set — counted.
   [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
 
  private:
   friend class Port;
 
+  class Untagged : public net::Transport {
+   public:
+    explicit Untagged(GroupMux& mux) : mux_(mux) {}
+    void attach(ProcessId p, Handler handler) override;
+    void send(ProcessId from, ProcessId to, const Bytes& payload) override {
+      mux_.base_.send(from, to, payload);
+    }
+    [[nodiscard]] std::size_t max_datagram_size() const override {
+      return mux_.base_.max_datagram_size();
+    }
+    [[nodiscard]] const net::NetStats& stats() const override {
+      return mux_.base_.stats();
+    }
+    [[nodiscard]] const ProcessSet& processes() const override {
+      return mux_.base_.processes();
+    }
+
+   private:
+    GroupMux& mux_;
+  };
+
   /// Installs the demux handler on the base transport for pool_p (idempotent).
   void ensure_attached(ProcessId pool_p);
   void dispatch(ProcessId pool_to, ProcessId pool_from, const Bytes& payload);
-  void send_framed(std::uint32_t group, ProcessId pool_from, ProcessId pool_to,
-                   const Bytes& payload);
+  /// `payload` in `group`'s frame, encoded into the mux's scratch writer;
+  /// valid until the next call.
+  const Bytes& framed(std::uint32_t group, const Bytes& payload);
 
   net::Transport& base_;
+  Untagged untagged_;
   std::map<std::uint32_t, std::unique_ptr<Port>> ports_;
   // (group, pool destination) -> translated handler installed by the port.
   std::map<std::pair<std::uint32_t, ProcessId>, net::Transport::Handler>
       handlers_;
-  std::map<ProcessId, net::Transport::Handler> default_handlers_;
+  std::map<ProcessId, net::Transport::Handler> untagged_handlers_;
   std::map<ProcessId, TransferHandler> transfer_handlers_;
   ProcessSet attached_;
+  // Reused encode/decode buffers: every base transport copies on send, and
+  // handlers consume a delivered payload before returning.
+  Writer scratch_;
+  vsys::GroupFrame rx_;
   std::uint64_t unroutable_ = 0;
 };
 
@@ -96,25 +127,25 @@ class GroupMux::Port : public net::Transport {
     local_ = make_universe(pool_.size());
   }
 
-  [[nodiscard]] std::uint32_t group() const { return group_; }
   [[nodiscard]] ProcessId to_pool(ProcessId local) const {
     return pool_.at(local.value());
   }
   [[nodiscard]] ProcessId to_local(ProcessId pool) const;
   /// Re-points shard-local id `local` at a different pool process — the
-  /// volatile half of a slot migration. Post-remap the pool list may be
-  /// non-ascending; to_local's linear scan stays correct. This node's own
-  /// slot never moves while it is alive, so the installed receive handler
-  /// (keyed by this node's pool id) is untouched.
-  void remap(ProcessId local, ProcessId pool) {
-    pool_.at(local.value()) = pool;
-  }
-  [[nodiscard]] const std::vector<ProcessId>& pool_map() const {
-    return pool_;
-  }
+  /// volatile half of a slot migration — and drops the departed host's
+  /// receive handler: frames still in flight to it become unroutable. In
+  /// the simulator one mux holds every process's handlers, and the departed
+  /// one would outlive the column replica it points into; in dvsd a daemon
+  /// installs only its own handler, so the erase is a no-op there.
+  /// Post-remap the pool list may be non-ascending; to_local's linear scan
+  /// stays correct.
+  void remap(ProcessId local, ProcessId pool);
 
   void attach(ProcessId local, Handler handler) override;
   void send(ProcessId from, ProcessId to, const Bytes& payload) override;
+  /// Encodes the group frame once for every target.
+  void multicast(ProcessId from, const ProcessSet& targets,
+                 const Bytes& payload) override;
 
   [[nodiscard]] std::size_t max_datagram_size() const override {
     // The group frame (tag + varuint) rides inside the base datagram.

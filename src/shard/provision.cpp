@@ -1,9 +1,18 @@
 #include "shard/provision.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace dvs::shard {
+namespace {
+
+std::string pool_member_key(ProcessId p) {
+  return "pool/" + p.to_string() + "/vs";
+}
+
+}  // namespace
 
 std::vector<ShardAssignment> provision(const ProcessSet& members,
                                        std::size_t shards,
@@ -31,6 +40,26 @@ std::vector<ShardAssignment> provision(const ProcessSet& members,
     out.push_back(std::move(a));
   }
   return out;
+}
+
+std::unique_ptr<vsys::VsNode> build_pool_member(
+    ProcessId p, std::size_t pool_size, net::Transport& net,
+    sim::Simulator& sim, const vsys::VsConfig& config,
+    vsys::VsCallbacks callbacks, storage::StableStore* store) {
+  const std::string key = pool_member_key(p);
+  const bool recovered = store != nullptr && store->load(key).has_value();
+  std::optional<View> v0;
+  if (!recovered) v0.emplace(ViewId::initial(), make_universe(pool_size));
+  auto node = std::make_unique<vsys::VsNode>(p, std::move(v0), net, sim,
+                                             config, std::move(callbacks));
+  if (recovered) node->restore_epoch(pool_member_epoch(*store, p));
+  if (store != nullptr) node->attach_storage(*store, key);
+  return node;
+}
+
+std::uint64_t pool_member_epoch(const storage::StableStore& store,
+                                ProcessId p) {
+  return vsys::VsNode::recover_epoch(store, pool_member_key(p));
 }
 
 }  // namespace dvs::shard

@@ -7,13 +7,9 @@
 namespace dvs::shard {
 namespace {
 
-/// Decorrelates the pool group's fault Rng from every shard channel (shard
-/// 1's channel must reproduce the unsharded network's draw sequence, so the
-/// pool cannot share its seed).
-constexpr std::uint64_t kPoolRngSalt = 0x706f6f6c00005eedULL;
-/// Weyl-sequence stride for per-shard channel seeds; shard 1 gets the bare
-/// seed (the unsharded network's), shard k gets seed ^ ((k-1) * stride).
-constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
+/// Decorrelates the network's fault Rng from net::FaultPlan::random and the
+/// other draws a chaos or scenario run seeds with the bare seed.
+constexpr std::uint64_t kNetRngSalt = 0x706f6f6c00005eedULL;
 
 }  // namespace
 
@@ -31,10 +27,8 @@ void roll_up_shard(obs::MetricsSnapshot& pool, std::uint32_t group,
 
 ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
     : config_(std::move(config)),
-      seed_(seed),
-      pool_rng_(seed ^ kPoolRngSalt),
+      net_rng_(seed ^ kNetRngSalt),
       pool_(make_universe(config_.base.n_processes)),
-      pool_v0_(ViewId::initial(), pool_),
       router_(config_.shards) {
   if (config_.shards == 0) {
     throw std::logic_error("ShardCluster: zero shards");
@@ -49,8 +43,9 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
         "(journals are the transferable state)");
   }
   live_pool_ = pool_;
-  net_ = std::make_unique<net::SimNetwork>(sim_, pool_rng_, config_.base.net,
+  net_ = std::make_unique<net::SimNetwork>(sim_, net_rng_, config_.base.net,
                                            pool_);
+  mux_ = std::make_unique<GroupMux>(*net_);
   if (config_.base.persistence) {
     pool_store_ = std::make_unique<storage::MemStableStore>();
   }
@@ -61,18 +56,15 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
 
   // The top-level VS group: every pool process is a member of pool v0.
   for (ProcessId p : pool_) {
-    pool_views_.emplace(p, pool_v0_);
-    build_pool_node(p, /*initial=*/true);
+    pool_views_.emplace(p, View(ViewId::initial(), pool_));
+    build_pool_node(p);
   }
 
-  // One full protocol column per shard, over its own group channel.
+  // One full protocol column per shard, over its own mux port.
   shards_.reserve(assignments_.size());
   for (const ShardAssignment& a : assignments_) {
     Shard s;
-    const std::uint64_t channel_seed =
-        seed ^ (static_cast<std::uint64_t>(a.group - 1) * kShardSeedStride);
-    s.port = std::make_unique<GroupPort>(*net_, a.group, a.replicas,
-                                         channel_seed);
+    s.port = &mux_->open(a.group, a.replicas);
     tosys::ClusterConfig cc = config_.base;
     cc.n_processes = a.replicas.size();
     // initial_members is a prefix count over the column's local universe,
@@ -80,9 +72,10 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
     cc.initial_members =
         std::min(config_.base.initial_members, a.replicas.size());
     cc.sim = &sim_;
-    cc.transport = s.port.get();
-    GroupPort* port = s.port.get();
-    cc.paused_probe = [port](ProcessId local) { return port->paused(local); };
+    cc.transport = s.port;
+    cc.paused_probe = [this, port = s.port](ProcessId local) {
+      return net_->paused(port->to_pool(local));
+    };
     cc.store = nullptr;  // each column owns its own deterministic store
     s.cluster = std::make_unique<tosys::Cluster>(cc, seed);
     shards_.push_back(std::move(s));
@@ -106,15 +99,12 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
         views += node->stats().views_installed;
       }
       pool_metrics_.counter("pool.vs_views_installed").set(views);
+      pool_metrics_.counter("shard.unroutable").set(mux_->unroutable());
     });
   }
 }
 
-std::string ShardCluster::pool_storage_key(ProcessId p) {
-  return "pool/" + p.to_string() + "/vs";
-}
-
-void ShardCluster::build_pool_node(ProcessId p, bool initial) {
+void ShardCluster::build_pool_node(ProcessId p) {
   vsys::VsCallbacks cb;
   cb.on_newview = [this, p](const View& v) {
     pool_views_[p] = v;
@@ -127,12 +117,9 @@ void ShardCluster::build_pool_node(ProcessId p, bool initial) {
       maybe_reprovision();
     }
   };
-  pool_vs_[p] = std::make_unique<vsys::VsNode>(
-      p, initial ? std::optional<View>{pool_v0_} : std::nullopt, *net_, sim_,
-      config_.base.vs, std::move(cb));
-  if (pool_store_ != nullptr) {
-    pool_vs_.at(p)->attach_storage(*pool_store_, pool_storage_key(p));
-  }
+  pool_vs_[p] =
+      build_pool_member(p, pool_.size(), mux_->untagged(), sim_,
+                        config_.base.vs, std::move(cb), pool_store_.get());
 }
 
 void ShardCluster::start() {
@@ -156,13 +143,11 @@ void ShardCluster::restart(ProcessId pool_p) {
     throw std::logic_error("ShardCluster::restart requires persistence");
   }
   ++restarts_;
-  // Pool membership node first: recover the epoch floor, rejoin with no
-  // view — same recovery discipline as a shard column's VS layer.
+  // Pool membership node first: it recovers its epoch floor from its
+  // journal and rejoins with no view — the same recovery discipline as a
+  // shard column's VS layer.
   pool_vs_.erase(pool_p);
-  const std::uint64_t epoch =
-      vsys::VsNode::recover_epoch(*pool_store_, pool_storage_key(pool_p));
-  build_pool_node(pool_p, /*initial=*/false);
-  pool_vs_.at(pool_p)->restore_epoch(epoch);
+  build_pool_node(pool_p);
   pool_vs_.at(pool_p)->start();
   // Then every shard column hosting this process restarts its local
   // replica from that column's own journals.
@@ -197,8 +182,8 @@ EpisodeHooks ShardCluster::episode_hooks(std::uint32_t group, ProcessId slot) {
   EpisodeHooks hooks;
   hooks.barrier = [this] { migration_barrier(); };
   // Volatile cutover, synchronous within the current simulator event so no
-  // message can observe a half-moved slot: detach the departed process from
-  // the group channel, re-point the slot, and crash-restart the column
+  // message can observe a half-moved slot: re-point the slot (dropping the
+  // departed process's handler from the mux), and crash-restart the column
   // replica from the journals just installed. The restart records CRASH;
   // HANDOFF then tells the oracle the new incarnation adopted the donor's
   // delivery cursor (spec::EvHandoff — re-delivery is legal, invention is

@@ -2,30 +2,32 @@
 // node pool, ONE simulator and ONE simulated network.
 //
 // Topology (the Derecho-style subgroup pattern):
-//   * a top-level VS group — one vsys::VsNode per pool process on the
-//     network's default channel — tracks the node pool itself and feeds the
-//     ShardRouter's contact resolution;
+//   * one shard::GroupMux over the network, exactly as a sharded dvsd runs
+//     one over its UDP socket: every datagram is group-framed in band, and
+//     the simulator's faults (truncation included) hit the same framing,
+//     demux and id translation real deployments use;
+//   * a top-level VS group — one vsys::VsNode per pool process on the mux's
+//     untagged port (shard::build_pool_member) — tracks the node pool itself
+//     and feeds the ShardRouter's contact resolution;
 //   * a deterministic provisioning function (shard::provision, round-robin
 //     over the pool) assigns each shard a replica subset;
 //   * each shard is a full tosys::Cluster (VsNode→DvsNode→ToNode columns,
-//     conformance oracle, metrics, persistence) running over a GroupPort —
-//     shard-local ids 0..r-1, its own SimNetwork group channel, its own
-//     fault Rng.
+//     conformance oracle, metrics, persistence) running over a
+//     GroupMux::Port — shard-local ids 0..r-1 on wire group k.
 // Because every shard column carries its own spec::TraceRecorder, VS/DVS/TO
 // acceptance and Invariants 4.1/4.2 are checked independently per group_id,
 // and a violation names its shard.
 //
-// K=1 with full replication IS the unsharded simulation: shard 1's channel
-// Rng is seeded exactly like a standalone tosys::Cluster's network Rng, the
-// GroupPort id map is the identity, and no shard-visible state reads
-// pool-level state — so delivery orders, verdicts and SLO reports are those
-// of one standalone column. Pool traffic shares the simulator but draws
-// from its own salted Rng and touches only pool state.
+// K=1 with full replication is the unsharded simulation: one column plus
+// the pool membership group. All traffic draws from one network Rng, so a
+// run is a pure function of (config, seed) — byte-identical at any sweep
+// --jobs — but a shard's fault draws depend on its siblings' and the pool's
+// traffic, as they would on a real wire.
 //
 // Reconfiguration isolation (tests/shard/test_shard_isolation): faults are
 // injected per pool process on the shared network; a shard whose replicas
-// are untouched shares nothing with the wounded shard but the event queue,
-// so its commits proceed while the sibling reconfigures.
+// are untouched shares nothing with the wounded shard but the event queue
+// and the wire, so its commits proceed while the sibling reconfigures.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,7 @@
 #include "common/view.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "shard/group_port.h"
+#include "shard/group_mux.h"
 #include "shard/provision.h"
 #include "shard/reprovision.h"
 #include "shard/router.h"
@@ -127,6 +129,10 @@ class ShardCluster {
   /// replica (each from its own per-shard store). Requires persistence.
   void restart(ProcessId pool_p);
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
+  /// The pool members' epoch journals (null without persistence).
+  [[nodiscard]] const storage::StableStore* pool_store() const {
+    return pool_store_.get();
+  }
 
   /// All shards' oracles clean?
   [[nodiscard]] bool oracle_ok() const;
@@ -178,17 +184,17 @@ class ShardCluster {
   }
 
   /// Every shard rolled up (roll_up_shard) over the pool-level pool.*
-  /// counters and the shared network's own net.*/arena.* counters.
+  /// counters, the mux's shard.unroutable (the key dvsd's `stats` verb
+  /// exports) and the shared network's own net.*/arena.* counters.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot();
 
  private:
   struct Shard {
-    std::unique_ptr<GroupPort> port;
+    GroupMux::Port* port = nullptr;  // owned by mux_
     std::unique_ptr<tosys::Cluster> cluster;
   };
 
-  [[nodiscard]] static std::string pool_storage_key(ProcessId p);
-  void build_pool_node(ProcessId p, bool initial);
+  void build_pool_node(ProcessId p);
 
   // Dynamic re-provisioning (all no-ops unless config.dynamic).
   void maybe_reprovision();
@@ -202,12 +208,11 @@ class ShardCluster {
   void migration_barrier();
 
   ShardClusterConfig config_;
-  std::uint64_t seed_;
-  Rng pool_rng_;  // drives the default channel (pool traffic) only
+  Rng net_rng_;  // every fault draw of the shared network
   sim::Simulator sim_;
   ProcessSet pool_;
-  View pool_v0_;
   std::unique_ptr<net::SimNetwork> net_;
+  std::unique_ptr<GroupMux> mux_;
   std::unique_ptr<storage::MemStableStore> pool_store_;  // persistence only
   std::map<ProcessId, std::unique_ptr<vsys::VsNode>> pool_vs_;
   std::map<ProcessId, View> pool_views_;

@@ -123,28 +123,19 @@ void encode_group_frame(std::uint32_t group, const Bytes& payload, Writer& w) {
   w.raw(payload.data(), payload.size());
 }
 
-Bytes encode_group_frame(std::uint32_t group, const Bytes& payload) {
-  Writer w;
-  w.reserve(payload.size() + 6);
-  encode_group_frame(group, payload, w);
-  return w.take();
-}
-
 bool looks_like_group_frame(const Bytes& data) {
   return !data.empty() &&
          static_cast<std::uint8_t>(data[0]) == kGroupFrameTag;
 }
 
-GroupFrame decode_group_frame(const Bytes& data) {
+void decode_group_frame(const Bytes& data, GroupFrame& out) {
   Reader r(data);
   if (r.u8() != kGroupFrameTag) throw DecodeError("not a group frame");
   const std::uint64_t g = r.varuint();
   if (g > 0xFFFFFFFFull) throw DecodeError("group id out of range");
-  GroupFrame f;
-  f.group = static_cast<std::uint32_t>(g);
-  f.payload.assign(data.end() - static_cast<std::ptrdiff_t>(r.remaining()),
-                   data.end());
-  return f;
+  out.group = static_cast<std::uint32_t>(g);
+  out.payload.assign(data.end() - static_cast<std::ptrdiff_t>(r.remaining()),
+                     data.end());
 }
 
 std::string to_string(const WireMsg& m) {

@@ -119,29 +119,25 @@ void encode_into(const WireMsg& m, Writer& w);
 // The tag byte sits outside both the vsys Tag range (1..7) and the BATCH
 // envelope tag (net/batcher.h), so a receiver can always tell a group frame
 // from legacy ungrouped traffic and from a coalesced envelope. group_id 0
-// is reserved for the pool-level membership group. The simulated transport
-// carries the group id structurally instead (SimNetwork group channels —
-// the frame never changes simulated payload sizes), so the codec here is
-// exercised by the real backends (shard::GroupMux over a UdpTransport) and
-// by the unit fuzz in tests/shard.
+// is reserved for the pool-level membership group, which travels unframed.
+// shard::GroupMux is the one user, over a UdpTransport in dvsd and over a
+// SimNetwork in every sharded (and K=1) simulation, so the simulator's
+// truncation faults exercise this decoder too.
 inline constexpr std::uint8_t kGroupFrameTag = 0x47;  // 'G'
 
 struct GroupFrame {
   std::uint32_t group = 0;
   Bytes payload;
-
-  friend bool operator==(const GroupFrame&, const GroupFrame&) = default;
 };
 
 /// Appends the group frame for (group, payload) to `w` (reused hot-path
 /// writer, same discipline as encode_into).
 void encode_group_frame(std::uint32_t group, const Bytes& payload, Writer& w);
-[[nodiscard]] Bytes encode_group_frame(std::uint32_t group,
-                                       const Bytes& payload);
 /// True iff `data` starts with the group-frame tag byte.
 [[nodiscard]] bool looks_like_group_frame(const Bytes& data);
-/// Decodes a group frame; throws DecodeError on anything malformed (wrong
-/// tag, truncated varint, missing payload bytes).
-[[nodiscard]] GroupFrame decode_group_frame(const Bytes& data);
+/// Decodes a group frame into `out`, reusing its payload buffer (hot-path
+/// demux, allocation-free in steady state); throws DecodeError on anything
+/// malformed (wrong tag, truncated varint).
+void decode_group_frame(const Bytes& data, GroupFrame& out);
 
 }  // namespace dvs::vsys

@@ -1,7 +1,7 @@
 // Unit coverage for the sharding layer's parts: deterministic provisioning,
-// the group-frame wire codec, SimNetwork group channels behind GroupPort,
-// the in-band GroupMux demux, the keyspace router, per-group conformance
-// recording, and a small multi-shard ShardCluster smoke.
+// the group-frame wire codec, the in-band GroupMux demux and its ports' id
+// translation, the keyspace router, per-group conformance recording, and a
+// small multi-shard ShardCluster smoke (including pool-member restarts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "common/view.h"
 #include "net/sim_network.h"
 #include "shard/group_mux.h"
-#include "shard/group_port.h"
 #include "shard/provision.h"
 #include "shard/router.h"
 #include "shard/shard_cluster.h"
@@ -29,6 +28,12 @@ Bytes bytes(std::initializer_list<int> vals) {
   Bytes out;
   for (const int v : vals) out.push_back(static_cast<std::byte>(v));
   return out;
+}
+
+Bytes group_frame(std::uint32_t group, const Bytes& payload) {
+  Writer w;
+  vsys::encode_group_frame(group, payload, w);
+  return w.take();
 }
 
 TEST(Provision, RoundRobinWindows) {
@@ -55,8 +60,8 @@ TEST(Provision, ZeroReplicationMeansWholePool) {
   for (const auto& s : a) {
     EXPECT_EQ(s.replicas.size(), 4u);
   }
-  // K=1 full replication is the identity map that makes K=1 the unsharded
-  // stack.
+  // K=1 full replication hosts the one column of the unsharded simulation
+  // on the whole pool, local id = pool id.
   const auto one = shard::provision(pool, 1, 0);
   EXPECT_EQ(one[0].replicas,
             (std::vector<ProcessId>{ProcessId(0), ProcessId(1), ProcessId(2),
@@ -78,9 +83,10 @@ TEST(Provision, PureFunctionOfInputs) {
 TEST(GroupFrame, RoundTrips) {
   const Bytes payload = bytes({0x01, 0xff, 0x00, 0x42});
   for (const std::uint32_t g : {1u, 7u, 300u, 0xFFFFFFFFu}) {
-    const Bytes wire = vsys::encode_group_frame(g, payload);
+    const Bytes wire = group_frame(g, payload);
     ASSERT_TRUE(vsys::looks_like_group_frame(wire));
-    const vsys::GroupFrame f = vsys::decode_group_frame(wire);
+    vsys::GroupFrame f;
+    vsys::decode_group_frame(wire, f);
     EXPECT_EQ(f.group, g);
     EXPECT_EQ(f.payload, payload);
   }
@@ -89,93 +95,17 @@ TEST(GroupFrame, RoundTrips) {
 TEST(GroupFrame, TagDoesNotCollideWithVsTraffic) {
   // Every vsys message starts with its Tag byte (1..7) and batches with the
   // batcher's tag; 0x47 must stay distinct so untagged traffic routes to
-  // the default handler.
+  // the untagged port.
   const Bytes untagged = bytes({0x01, 0x02, 0x03});
   EXPECT_FALSE(vsys::looks_like_group_frame(untagged));
   EXPECT_FALSE(vsys::looks_like_group_frame({}));
 }
 
 TEST(GroupFrame, TruncatedHeaderThrows) {
-  const Bytes wire = vsys::encode_group_frame(90000, bytes({0xaa}));
+  const Bytes wire = group_frame(90000, bytes({0xaa}));
   const Bytes cut(wire.begin(), wire.begin() + 2);  // mid-varuint
-  EXPECT_THROW((void)vsys::decode_group_frame(cut), DecodeError);
-}
-
-TEST(GroupChannels, IndependentHandlersAndIsolation) {
-  sim::Simulator sim;
-  Rng rng(7);
-  const ProcessSet procs = make_universe(3);
-  net::SimNetwork net(sim, rng, {}, procs);
-  net.open_group(1, 11);
-  net.open_group(2, 22);
-  EXPECT_TRUE(net.has_group(1));
-  EXPECT_FALSE(net.has_group(3));
-  EXPECT_THROW(net.open_group(1, 99), std::logic_error);
-  EXPECT_THROW(net.open_group(0, 99), std::logic_error);
-
-  std::vector<std::string> got;
-  net.attach(ProcessId(1), [&](ProcessId from, const Bytes& b) {
-    got.push_back("default:" + from.to_string() + ":" +
-                  std::to_string(b.size()));
-  });
-  net.attach_group(1, ProcessId(1), [&](ProcessId from, const Bytes& b) {
-    got.push_back("g1:" + from.to_string() + ":" + std::to_string(b.size()));
-  });
-  net.attach_group(2, ProcessId(1), [&](ProcessId from, const Bytes& b) {
-    got.push_back("g2:" + from.to_string() + ":" + std::to_string(b.size()));
-  });
-
-  net.send(ProcessId(0), ProcessId(1), bytes({0x01}));
-  net.send_group(1, ProcessId(0), ProcessId(1), bytes({0x01, 0x02}));
-  net.send_group(2, ProcessId(0), ProcessId(1), bytes({0x01, 0x02, 0x03}));
-  sim.run_until(sim::Time{1000000});
-
-  // Same link, but each channel dispatched to its own handler — the
-  // out-of-band demux. Cross-channel arrival order is unspecified (each
-  // channel draws jitter from its own Rng), so compare as a set.
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, (std::vector<std::string>{"default:p0:1", "g1:p0:2",
-                                           "g2:p0:3"}));
-}
-
-TEST(GroupChannels, PauseIsProcessGlobal) {
-  sim::Simulator sim;
-  Rng rng(7);
-  net::SimNetwork net(sim, rng, {}, make_universe(2));
-  net.open_group(1, 11);
-  std::size_t deliveries = 0;
-  net.attach_group(1, ProcessId(1),
-                   [&](ProcessId, const Bytes&) { ++deliveries; });
-  net.pause(ProcessId(1));
-  net.send_group(1, ProcessId(0), ProcessId(1), bytes({0x01}));
-  sim.run_until(sim::Time{1000000});
-  EXPECT_EQ(deliveries, 0u);  // unplugging a machine unplugs every channel
-  net.resume(ProcessId(1));
-  net.send_group(1, ProcessId(0), ProcessId(1), bytes({0x01}));
-  sim.run_until(sim::Time{2000000});
-  EXPECT_EQ(deliveries, 1u);
-}
-
-TEST(GroupPort, TranslatesLocalIdsToPoolIds) {
-  sim::Simulator sim;
-  Rng rng(3);
-  net::SimNetwork net(sim, rng, {}, make_universe(5));
-  // Shard hosted on pool {1, 3, 4}: local 0->1, 1->3, 2->4.
-  shard::GroupPort port(net, 1, {ProcessId(1), ProcessId(3), ProcessId(4)},
-                        123);
-  EXPECT_EQ(port.to_pool(ProcessId(2)), ProcessId(4));
-  EXPECT_EQ(port.to_local(ProcessId(3)), ProcessId(1));
-  EXPECT_THROW((void)port.to_local(ProcessId(0)), std::logic_error);
-  EXPECT_EQ(port.processes(), make_universe(3));
-
-  std::vector<std::string> got;
-  port.attach(ProcessId(1), [&](ProcessId from, const Bytes&) {
-    got.push_back("from-local-" + from.to_string());
-  });
-  port.send(ProcessId(2), ProcessId(1), bytes({0x01}));
-  sim.run_until(sim::Time{1000000});
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "from-local-p2");  // pool p4 translated back to local 2
+  vsys::GroupFrame f;
+  EXPECT_THROW(vsys::decode_group_frame(cut, f), DecodeError);
 }
 
 TEST(GroupMux, InBandFramesDemuxToPorts) {
@@ -196,7 +126,7 @@ TEST(GroupMux, InBandFramesDemuxToPorts) {
   p2.attach(ProcessId(0), [&](ProcessId from, const Bytes&) {
     got.push_back("g2-from-" + from.to_string());
   });
-  mux.attach_default(ProcessId(1), [&](ProcessId from, const Bytes& b) {
+  mux.untagged().attach(ProcessId(1), [&](ProcessId from, const Bytes& b) {
     got.push_back("untagged-from-" + from.to_string() + ":" +
                   std::to_string(b.size()));
   });
@@ -205,8 +135,8 @@ TEST(GroupMux, InBandFramesDemuxToPorts) {
   p1.send(ProcessId(0), ProcessId(1), bytes({0x01}));
   // Group 2: pool 2 -> pool 1 is local 1 -> local 0.
   p2.send(ProcessId(1), ProcessId(0), bytes({0x01}));
-  // Untagged legacy traffic to the same destination.
-  net.send(ProcessId(3), ProcessId(1), bytes({0x01, 0x02}));
+  // Untagged (pool group) traffic to the same destination.
+  mux.untagged().send(ProcessId(3), ProcessId(1), bytes({0x01, 0x02}));
   sim.run_until(sim::Time{1000000});
 
   // All on the base transport's single channel, but from different links,
@@ -228,11 +158,11 @@ TEST(GroupMux, UnknownGroupAndForeignSenderAreCountedDrops) {
 
   // A frame naming a group with no open port.
   net.send(ProcessId(0), ProcessId(1),
-           vsys::encode_group_frame(9, bytes({0x01})));
+           group_frame(9, bytes({0x01})));
   // A well-formed group-1 frame from a process that is not a replica of
   // group 1 — must not reach the handler (to_local would have no mapping).
   net.send(ProcessId(2), ProcessId(1),
-           vsys::encode_group_frame(1, bytes({0x01})));
+           group_frame(1, bytes({0x01})));
   sim.run_until(sim::Time{1000000});
   EXPECT_EQ(deliveries, 0u);
   EXPECT_EQ(mux.unroutable(), 2u);
@@ -241,6 +171,103 @@ TEST(GroupMux, UnknownGroupAndForeignSenderAreCountedDrops) {
   p1.send(ProcessId(0), ProcessId(1), bytes({0x01}));
   sim.run_until(sim::Time{2000000});
   EXPECT_EQ(deliveries, 1u);
+}
+
+TEST(GroupMux, PortTranslatesLocalIdsToPoolIds) {
+  sim::Simulator sim;
+  Rng rng(3);
+  net::SimNetwork net(sim, rng, {}, make_universe(5));
+  shard::GroupMux mux(net);
+  // Shard hosted on pool {1, 3, 4}: local 0->1, 1->3, 2->4.
+  auto& port = mux.open(1, {ProcessId(1), ProcessId(3), ProcessId(4)});
+  EXPECT_EQ(port.to_pool(ProcessId(2)), ProcessId(4));
+  EXPECT_EQ(port.to_local(ProcessId(3)), ProcessId(1));
+  EXPECT_THROW((void)port.to_local(ProcessId(0)), std::logic_error);
+  EXPECT_EQ(port.processes(), make_universe(3));
+  EXPECT_EQ(mux.untagged().processes(), make_universe(5));
+
+  std::vector<std::string> got;
+  for (const std::uint32_t local : {0u, 1u, 2u}) {
+    port.attach(ProcessId(local), [&got, local](ProcessId from, const Bytes&) {
+      got.push_back(std::to_string(local) + "-from-local-" + from.to_string());
+    });
+  }
+  port.send(ProcessId(2), ProcessId(1), bytes({0x01}));
+  sim.run_until(sim::Time{1000000});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], "1-from-local-p2");  // pool p4 translated back to local 2
+
+  // A multicast encodes the frame once and reaches every target, each
+  // datagram carrying the 2-byte group header.
+  got.clear();
+  const net::NetStats before = net.stats();
+  port.multicast(ProcessId(0), port.processes(), bytes({0x01, 0x02}));
+  sim.run_until(sim::Time{2000000});
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"0-from-local-p0", "1-from-local-p0",
+                                           "2-from-local-p0"}));
+  EXPECT_EQ(net.stats().sent - before.sent, 3u);
+  EXPECT_EQ(net.stats().bytes_sent - before.bytes_sent, 3u * 4u);
+}
+
+TEST(GroupMux, PauseIsProcessGlobal) {
+  sim::Simulator sim;
+  Rng rng(7);
+  net::SimNetwork net(sim, rng, {}, make_universe(3));
+  shard::GroupMux mux(net);
+  auto& g1 = mux.open(1, {ProcessId(0), ProcessId(1)});
+  auto& g2 = mux.open(2, {ProcessId(1), ProcessId(2)});
+  std::size_t deliveries = 0;
+  const auto count = [&](ProcessId, const Bytes&) { ++deliveries; };
+  g1.attach(ProcessId(1), count);  // pool p1
+  g2.attach(ProcessId(0), count);  // pool p1
+  mux.untagged().attach(ProcessId(1), count);
+  const auto send_all = [&] {
+    g1.send(ProcessId(0), ProcessId(1), bytes({0x01}));
+    g2.send(ProcessId(1), ProcessId(0), bytes({0x01}));
+    mux.untagged().send(ProcessId(0), ProcessId(1), bytes({0x01}));
+  };
+
+  net.pause(ProcessId(1));
+  send_all();
+  sim.run_until(sim::Time{1000000});
+  EXPECT_EQ(deliveries, 0u);  // unplugging a machine unplugs every group
+  net.resume(ProcessId(1));
+  send_all();
+  sim.run_until(sim::Time{2000000});
+  EXPECT_EQ(deliveries, 3u);
+  EXPECT_EQ(mux.unroutable(), 0u);
+}
+
+TEST(GroupMux, RemapStrandsFramesInFlightToTheOldHost) {
+  sim::Simulator sim;
+  Rng rng(9);
+  net::SimNetwork net(sim, rng, {}, make_universe(3));
+  shard::GroupMux mux(net);
+  auto& port = mux.open(1, {ProcessId(0), ProcessId(1)});
+  std::vector<std::string> got;
+  port.attach(ProcessId(1), [&](ProcessId from, const Bytes&) {
+    got.push_back("old-host-from-" + from.to_string());
+  });
+
+  // A frame to local 1 leaves while local 1 is still hosted on pool p1...
+  port.send(ProcessId(0), ProcessId(1), bytes({0x01}));
+  // ...and local 1 migrates to pool p2 before it lands. The departed host's
+  // handler is gone: the frame is counted, never delivered.
+  port.remap(ProcessId(1), ProcessId(2));
+  EXPECT_EQ(port.to_pool(ProcessId(1)), ProcessId(2));
+  sim.run_until(sim::Time{1000000});
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(mux.unroutable(), 1u);
+
+  // The new host attaches its own handler and traffic flows to it.
+  port.attach(ProcessId(1), [&](ProcessId from, const Bytes&) {
+    got.push_back("new-host-from-" + from.to_string());
+  });
+  port.send(ProcessId(0), ProcessId(1), bytes({0x01}));
+  sim.run_until(sim::Time{2000000});
+  EXPECT_EQ(got, (std::vector<std::string>{"new-host-from-p0"}));
+  EXPECT_EQ(mux.unroutable(), 1u);
 }
 
 TEST(Router, StableKeyPlacement) {
@@ -392,6 +419,32 @@ TEST(ShardCluster, ReconfiguresOneShardWhileSiblingsCommit) {
   // Shard 3 took the fault; whatever view it settled in, its oracle (and
   // everyone else's) must still be clean.
   EXPECT_TRUE(sc.oracle_ok());
+}
+
+TEST(ShardCluster, RestartedPoolMemberKeepsItsEpochFloor) {
+  shard::ShardClusterConfig cfg;
+  cfg.base.n_processes = 3;
+  cfg.base.persistence = true;
+  shard::ShardCluster sc(cfg, /*seed=*/7);
+  sc.start();
+  sc.run_for(sim::Time{200000});
+  // Cut p2 off long enough for the pool group to change views around it,
+  // then let it merge back so its epoch journal is well past 0.
+  sc.net().pause(ProcessId(2));
+  sc.run_for(sim::Time{2000000});
+  sc.net().resume(ProcessId(2));
+  sc.run_for(sim::Time{2000000});
+  ASSERT_NE(sc.pool_store(), nullptr);
+  const std::uint64_t epoch =
+      shard::pool_member_epoch(*sc.pool_store(), ProcessId(2));
+  ASSERT_GT(epoch, 0u);
+  // Two crash-restarts back to back, no view change in between: each
+  // incarnation must journal the floor it recovered, not a fresh 0.
+  for (int i = 1; i <= 2; ++i) {
+    sc.restart(ProcessId(2));
+    EXPECT_EQ(shard::pool_member_epoch(*sc.pool_store(), ProcessId(2)), epoch)
+        << "after restart " << i;
+  }
 }
 
 }  // namespace

@@ -44,6 +44,13 @@ void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
   const std::uint64_t duplicated = m.counter_sum("net.duplicated");
   EXPECT_LE(delivered, sent + duplicated) << "n=" << n << " seed=" << seed;
   EXPECT_GT(sent, 0u) << "n=" << n << " seed=" << seed;
+  // The simulator runs dvsd's multiplexer and exports its drop counter
+  // under the key dvsd's `stats` verb uses. With a static topology only a
+  // group header cut short in flight can make a frame unroutable.
+  EXPECT_TRUE(m.counters.contains("shard.unroutable"))
+      << "n=" << n << " seed=" << seed;
+  EXPECT_LE(m.counter_sum("shard.unroutable"), m.counter_sum("net.truncated"))
+      << "n=" << n << " seed=" << seed;
   // A datagram must be delivered before it can fail to decode.
   EXPECT_LE(m.counter_sum("vs.decode_errors"), delivered)
       << "n=" << n << " seed=" << seed;
