@@ -5,9 +5,9 @@
 // Reported: confirmed deliveries per simulated second and latency
 // percentiles. The TO/DVS layers sit on a sequencer-ordered view layer, so
 // latency ≈ 2 network hops (sender→sequencer→receivers) plus the safe
-// round (heartbeat-carried acks) before confirmation — the shape to expect
-// is a flat-ish curve in n for delivery, with safe/confirm latency bound to
-// the heartbeat period.
+// round (one hop of WATERMARK frames pushed on delivery) before
+// confirmation — the shape to expect is a flat-ish curve in n for both
+// delivery and safe/confirm latency.
 #include <cstdio>
 #include <cstring>
 #include <map>

@@ -51,11 +51,13 @@ cmake --build build --target bench_explorer bench_micro bench_stack model_checke
 # stable-view run — the delivered-message counts land in the snapshot for
 # review. Wall-clock on a busy machine is noisy at these run lengths; prefer
 # comparing the "delivered" labels (deterministic) and treat time ratios as
-# indicative. The filter names both benches so BM_StackRestart lands only
-# in BENCH_recovery.json.
+# indicative. The filter names the benches so BM_StackRestart lands only
+# in BENCH_recovery.json. E21's real-UDP axis rides along: one command
+# applied on all of n∈{3,5} loopback replicas, and a 50-command burst
+# (wall clock; skipped with an error entry under DVS_NO_NET=1).
 ./build/bench/bench_stack \
   "${BENCH_CONTEXT}" \
-  --benchmark_filter='BM_Stack(BurstThroughput|SteadyState)' \
+  --benchmark_filter='BM_Stack(BurstThroughput|SteadyState)|BM_UdpLoopback(Command|Burst)' \
   --benchmark_min_time="${STACK_MIN_TIME}" \
   --benchmark_format=json >BENCH_stack.json
 

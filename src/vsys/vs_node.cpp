@@ -36,12 +36,15 @@ VsNode::VsNode(ProcessId self, std::optional<View> initial_view,
   expected_data_seq_.assign(slots, 0);
   wm_.resize(slots);
   seq_retx_.assign(slots, RetxCursor{});
+  wm_published_.assign(slots, 0);
   if (view_.has_value()) {
     max_epoch_ = view_->id().epoch();
     view_members_.assign(view_->set().begin(), view_->set().end());
     reset_watermarks();
   }
 }
+
+VsNode::~VsNode() { *alive_ = false; }
 
 void VsNode::start() {
   net_.attach(self_, [this](ProcessId from, const Bytes& data) {
@@ -73,6 +76,7 @@ void VsNode::gpsnd(const Msg& m) {
   sent_data_.push_back(m);
   send_wire(sequencer(),
             Data{view_->id(), data_seq_out_++, m, delivered_, safe_emitted_});
+  wm_published_[ix(sequencer())] = delivered_;
 }
 
 ProcessSet VsNode::estimate() const {
@@ -177,7 +181,9 @@ void VsNode::on_tick() {
   }
   const Bytes& payload = encode_reused(WireMsg{hb});
   for (ProcessId q : net_.processes()) {
-    if (q != self_) net_.send(self_, q, payload);
+    if (q == self_) continue;
+    net_.send(self_, q, payload);
+    wm_published_[ix(q)] = hb.delivered;
   }
   // Within-view reliability: the network may lose messages (short-lived
   // partitions). Sequencer mode: retransmit the head of my unadmitted DATA
@@ -201,6 +207,7 @@ void VsNode::on_tick() {
                     Data{view_->id(), own_acked_ + 1,
                          sent_data_.at_abs(own_acked_), delivered_,
                          safe_emitted_});
+          wm_published_[ix(sequencer())] = delivered_;
           ++stats_.retransmits_sent;
           data_retx_idle_ = 0;
         } else {
@@ -245,6 +252,7 @@ void VsNode::on_tick() {
           sq->wm_delivered = delivered_;
           sq->wm_safe = safe_emitted_;
           send_wire(q, *sq);
+          wm_published_[ix(q)] = delivered_;
           cur.sent_upto = std::max(cur.sent_upto, s);
           ++stats_.retransmits_sent;
         }
@@ -408,6 +416,7 @@ void VsNode::install(const View& v) {
   safe_emitted_ = 0;
   reset_watermarks();
   std::fill(seq_retx_.begin(), seq_retx_.end(), RetxCursor{});
+  std::fill(wm_published_.begin(), wm_published_.end(), 0);
   data_retx_acked_ = 0;
   data_retx_idle_ = 0;
   if (proposal_.has_value() && !(proposal_->view.id() > v.id())) {
@@ -469,6 +478,7 @@ void VsNode::issue(const Msg& payload, ProcessId origin, std::uint64_t seqno) {
   const Bytes& bytes = encode_reused(WireMsg{sq});
   for (ProcessId q : view_members_) {
     net_.send(self_, q, bytes);
+    wm_published_[ix(q)] = delivered_;
     // The fresh multicast copy covers this seqno for every member; the tick
     // retransmitter holds off until the holdoff expires without progress.
     auto& cur = seq_retx_[ix(q)];
@@ -490,6 +500,10 @@ void VsNode::handle(const Token& tk, ProcessId /*from*/) {
   // If there is work, order it immediately; otherwise the token advances at
   // the next tick (idle circulation at heartbeat pace).
   if (!token_backlog_.empty()) service_token();
+}
+
+void VsNode::handle(const Watermark& wm, ProcessId from) {
+  apply_watermarks(from, wm.view, wm.delivered, wm.safe);
 }
 
 ProcessId VsNode::ring_successor() const {
@@ -567,7 +581,33 @@ void VsNode::try_deliver() {
     }
     delivered_any = true;
   }
-  if (delivered_any) try_emit_safe();
+  if (!delivered_any) return;
+  // Push the raised row to the peers in this instant, once however many
+  // messages this wake delivered (the closure fits SmallCallback inline,
+  // so the hot path stays allocation-free).
+  if (!publish_pending_) {
+    publish_pending_ = true;
+    sim_.schedule_after(0, [this, alive = alive_] {
+      if (*alive) publish_watermark();
+    });
+  }
+  try_emit_safe();
+}
+
+void VsNode::publish_watermark() {
+  publish_pending_ = false;
+  if (!view_.has_value()) return;
+  const Bytes* payload = nullptr;
+  for (ProcessId q : view_members_) {
+    if (q == self_ || wm_published_[ix(q)] >= delivered_) continue;
+    if (payload == nullptr) {
+      payload = &encode_reused(
+          WireMsg{Watermark{view_->id(), delivered_, safe_emitted_}});
+    }
+    net_.send(self_, q, *payload);
+    wm_published_[ix(q)] = delivered_;
+    ++stats_.watermarks_published;
+  }
 }
 
 std::size_t VsNode::bind_metrics(obs::MetricsRegistry& metrics) {
@@ -592,6 +632,8 @@ std::size_t VsNode::bind_metrics(obs::MetricsRegistry& metrics) {
         .set(stats_.retransmits_skipped);
     metrics.counter("vs.watermark_updates" + label)
         .set(stats_.watermark_updates);
+    metrics.counter("vs.watermarks_published" + label)
+        .set(stats_.watermarks_published);
     metrics.counter("vs.watermark_gc" + label).set(stats_.watermark_gc);
     metrics.counter("vs.watermark_min_delivered" + label)
         .set(wm_.min_delivered());

@@ -18,9 +18,12 @@
 //  * Safe — each member publishes its contiguously-delivered count and its
 //    safe watermark for the current view in a per-member watermark table
 //    (SST style); a message is safe at q once the table's delivered
-//    minimum reaches it. Rows are raised from heartbeats and from the
-//    sender's watermarks piggybacked on every DATA/SEQ frame, so stability
-//    advances at data rate instead of heartbeat rate. Reconfiguration (the
+//    minimum reaches it. A member pushes its row when it changes: a
+//    delivery schedules one WATERMARK frame for the current instant, sent
+//    to each member that has not already seen the count on a DATA/SEQ
+//    piggyback or a heartbeat. So a lone message is safe a few link delays
+//    after it is sent, not at the next heartbeat; heartbeats remain the
+//    fallback that re-carries lost rows. Reconfiguration (the
 //    PROPOSE/FLUSH_ACK/INSTALL agreement) uses explicit acks — the
 //    watermark table is a within-view optimization only and is reset on
 //    install.
@@ -55,6 +58,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -121,9 +125,12 @@ struct VsNodeStats {
   /// holdoff — the per-destination cursor win shows as skipped >> sent.
   std::uint64_t retransmits_sent = 0;
   std::uint64_t retransmits_skipped = 0;
-  /// Watermark-table rows raised by DATA/SEQ piggybacks (heartbeat-driven
-  /// raises are not counted).
+  /// Watermark-table rows raised by DATA/SEQ piggybacks and WATERMARK
+  /// frames (heartbeat-driven raises are not counted).
   std::uint64_t watermark_updates = 0;
+  /// WATERMARK frames sent: at most one per peer per instant in which a
+  /// delivery advanced this node's delivered count.
+  std::uint64_t watermarks_published = 0;
   /// Issued-SEQ log entries garbage-collected once the table's delivered
   /// minimum covered them (no member can need a retransmission below it).
   std::uint64_t watermark_gc = 0;
@@ -136,6 +143,7 @@ class VsNode {
   VsNode(ProcessId self, std::optional<View> initial_view,
          net::Transport& net, sim::Simulator& sim, VsConfig config,
          VsCallbacks callbacks);
+  ~VsNode();
 
   /// Replaces the callbacks; must be called before start().
   void set_callbacks(VsCallbacks callbacks) {
@@ -192,6 +200,7 @@ class VsNode {
   void handle(const Data& da, ProcessId from);
   void handle(const Seq& sq, ProcessId from);
   void handle(const Token& tk, ProcessId from);
+  void handle(const Watermark& wm, ProcessId from);
 
   void maybe_propose();
   void install(const View& v);
@@ -216,6 +225,10 @@ class VsNode {
                                         bool buffered = false);
   void try_deliver();
   void try_emit_safe();
+  /// Sends a WATERMARK frame with the current counters to every view
+  /// member whose wm_published_ record is below delivered_ (run once per
+  /// instant, scheduled by try_deliver).
+  void publish_watermark();
   /// Index of `q` in the flat per-process arrays (ids are dense).
   [[nodiscard]] std::size_t ix(ProcessId q) const {
     return static_cast<std::size_t>(q.value());
@@ -299,6 +312,15 @@ class VsNode {
   // Per-member stability table of the current view (replaces the flat
   // delivered_by_ array + O(members) min scan of the ack-only design).
   WatermarkTable wm_;
+  // Per destination: the highest delivered count this node has sent it in
+  // the current view, on any frame (DATA, SEQ, heartbeat, WATERMARK). A
+  // publish skips destinations that already have the value, so under load
+  // the piggybacks do the work. Reset on install.
+  std::vector<std::uint64_t> wm_published_;
+  bool publish_pending_ = false;
+  // Liveness flag for the scheduled publish: the closure checks it, so a
+  // destroyed node (crash-restart rebuild) is never called back.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // The current view's members as a contiguous list (mirrors view_->set()),
   // and their dense row indices for the watermark table.
   std::vector<ProcessId> view_members_;

@@ -15,9 +15,11 @@
 // O(1) and the minimum still advances exactly when the old scan would have
 // advanced it.
 //
-// The table is transport-agnostic: rows are raised from heartbeats and from
-// watermarks piggybacked on DATA/SEQ frames, and reconfiguration resets it —
-// the view agreement protocol (PROPOSE/FLUSH_ACK/INSTALL) is untouched.
+// The table is transport-agnostic: rows are raised from watermarks
+// piggybacked on DATA/SEQ frames, from the WATERMARK frame a member pushes
+// when a delivery advances its row (so a lone message does not wait for a
+// heartbeat), and from heartbeats; reconfiguration resets it — the view
+// agreement protocol (PROPOSE/FLUSH_ACK/INSTALL) is untouched.
 #pragma once
 
 #include <algorithm>

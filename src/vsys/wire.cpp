@@ -13,6 +13,7 @@ enum class Tag : std::uint8_t {
   kData = 5,
   kSeq = 6,
   kToken = 7,
+  kWatermark = 8,
 };
 
 }  // namespace
@@ -56,12 +57,17 @@ void encode_into(const WireMsg& m, Writer& w) {
     w.varuint(sq->wm_delivered);
     w.varuint(sq->wm_safe);
     w.msg(sq->payload);
-  } else {
-    const auto& tk = std::get<Token>(m);
+  } else if (const auto* tk = std::get_if<Token>(&m)) {
     w.u8(static_cast<std::uint8_t>(Tag::kToken));
-    w.view_id(tk.view);
-    w.u64(tk.rotation);
-    w.u64(tk.next_seqno);
+    w.view_id(tk->view);
+    w.u64(tk->rotation);
+    w.u64(tk->next_seqno);
+  } else {
+    const auto& wm = std::get<Watermark>(m);
+    w.u8(static_cast<std::uint8_t>(Tag::kWatermark));
+    w.view_id(wm.view);
+    w.varuint(wm.delivered);
+    w.varuint(wm.safe);
   }
 }
 
@@ -109,6 +115,13 @@ WireMsg decode(const Bytes& data) {
         tk.rotation = r.u64();
         tk.next_seqno = r.u64();
         return tk;
+      }
+      case Tag::kWatermark: {
+        Watermark wm;
+        wm.view = r.view_id();
+        wm.delivered = r.varuint();
+        wm.safe = r.varuint();
+        return wm;
       }
     }
     throw DecodeError("unknown vsys tag");
@@ -159,10 +172,13 @@ std::string to_string(const WireMsg& m) {
   } else if (const auto* sq = std::get_if<Seq>(&m)) {
     os << "seq{" << sq->view.to_string() << ",#" << sq->seqno << ","
        << sq->origin.to_string() << "," << dvs::to_string(sq->payload) << "}";
+  } else if (const auto* tk = std::get_if<Token>(&m)) {
+    os << "token{" << tk->view.to_string() << ",rot=" << tk->rotation
+       << ",next=" << tk->next_seqno << "}";
   } else {
-    const auto& tk = std::get<Token>(m);
-    os << "token{" << tk.view.to_string() << ",rot=" << tk.rotation
-       << ",next=" << tk.next_seqno << "}";
+    const auto& wm = std::get<Watermark>(m);
+    os << "watermark{" << wm.view.to_string() << ",delivered=" << wm.delivered
+       << ",safe=" << wm.safe << "}";
   }
   return os.str();
 }

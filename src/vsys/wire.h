@@ -7,6 +7,9 @@
 //   INSTALL    — coordinator finalizes the view
 //   DATA       — member sends a client payload to the view's sequencer
 //   SEQ        — sequencer broadcasts the payload with its order number
+//   TOKEN      — token-ring mode: the rotating permission to order
+//   WATERMARK  — a member's delivered/safe counters, sent when a delivery
+//                advances them (stability without waiting for a heartbeat)
 #pragma once
 
 #include <cstdint>
@@ -99,8 +102,20 @@ struct Token {
   friend bool operator==(const Token&, const Token&) = default;
 };
 
-using WireMsg =
-    std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq, Token>;
+/// A member's watermarks in `view`, published as soon as a delivery
+/// advances them (coalesced per event-loop instant) to the members that
+/// have not already seen the count on a DATA/SEQ/heartbeat frame. Carries
+/// the same counters a heartbeat does; only the timing differs.
+struct Watermark {
+  ViewId view;
+  std::uint64_t delivered = 0;
+  std::uint64_t safe = 0;
+
+  friend bool operator==(const Watermark&, const Watermark&) = default;
+};
+
+using WireMsg = std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq,
+                             Token, Watermark>;
 
 [[nodiscard]] Bytes encode(const WireMsg& m);
 /// Appends the encoding to `w` without allocating a fresh buffer — the
@@ -116,7 +131,7 @@ void encode_into(const WireMsg& m, Writer& w);
 //
 //   frame := kGroupFrameTag u8 | varuint group_id | payload bytes
 //
-// The tag byte sits outside both the vsys Tag range (1..7) and the BATCH
+// The tag byte sits outside both the vsys Tag range (1..8) and the BATCH
 // envelope tag (net/batcher.h), so a receiver can always tell a group frame
 // from legacy ungrouped traffic and from a coalesced envelope. group_id 0
 // is reserved for the pool-level membership group, which travels unframed.

@@ -1,7 +1,8 @@
 // Metric sanity relations under chaos: per-seed metric snapshots of
 // adversarial full-stack runs must satisfy the arithmetic the stack's
-// semantics imply — deliveries bounded by sends plus duplications, DVS
-// primaries bounded by VS installs, TO deliveries bounded by n × bcasts,
+// semantics imply — deliveries bounded by sends plus duplications,
+// WATERMARK frames bounded by (n-1) per VS delivery, DVS primaries bounded
+// by VS installs, TO deliveries bounded by n × bcasts,
 // and the span invariants (no view_change left open at quiescence, nested
 // deliveries, non-overlapping registrations) all clean — across 200+
 // seeds and n ∈ {2,3,4}.
@@ -54,6 +55,19 @@ void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
   // A datagram must be delivered before it can fail to decode.
   EXPECT_LE(m.counter_sum("vs.decode_errors"), delivered)
       << "n=" << n << " seed=" << seed;
+  // A WATERMARK publish follows a delivery and goes to at most the other
+  // n-1 members, so each process sends at most n-1 frames per delivery.
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::string label = "{process=\"p" + std::to_string(p) + "\"}";
+    const auto published = m.counters.find("vs.watermarks_published" + label);
+    const auto msgs = m.counters.find("vs.msgs_delivered" + label);
+    ASSERT_NE(published, m.counters.end())
+        << "n=" << n << " seed=" << seed << " p" << p;
+    ASSERT_NE(msgs, m.counters.end())
+        << "n=" << n << " seed=" << seed << " p" << p;
+    EXPECT_LE(published->second, (n - 1) * msgs->second)
+        << "n=" << n << " seed=" << seed << " p" << p;
+  }
   // Primariness is a filter on VS installs: a node can accept at most the
   // views its VS layer installed.
   EXPECT_LE(m.counter_sum("dvs.views_attempted"),

@@ -1,8 +1,10 @@
 // SST-style watermark stability (vsys/watermarks.h): unit tests of the
 // incremental per-member watermark table, plus VS-level protocol tests
 // pinning piggybacked watermark propagation, safe-requires-every-member,
-// and the retransmit-liveness regression (a stalled peer watermark must
-// still trip the holdoff resend).
+// the retransmit-liveness regression (a stalled peer watermark must still
+// trip the holdoff resend), and the on-delivery WATERMARK publish (a lone
+// message is safe without waiting for a heartbeat, one frame per peer per
+// instant, foreign frames never touch the table).
 #include "vsys/watermarks.h"
 
 #include <gtest/gtest.h>
@@ -133,15 +135,18 @@ Msg opaque(std::uint64_t uid, unsigned sender) {
 }
 
 /// A little VS-only cluster with trace recording (mirrors the harness in
-/// test_vs_node.cpp).
+/// test_vs_node.cpp). With `members` < n, processes at or above `members`
+/// are in the universe but run no node and are outside v0 (a test can
+/// inject frames from them through net()).
 class VsHarness {
  public:
-  VsHarness(std::size_t n, std::uint64_t seed)
+  VsHarness(std::size_t n, std::uint64_t seed, VsConfig vs_config = {},
+            net::NetConfig net_config = {}, std::size_t members = 0)
       : rng_(seed),
         universe_(make_universe(n)),
-        v0_{ViewId::initial(), make_universe(n)},
-        net_(sim_, rng_, net::NetConfig{}, universe_) {
-    for (ProcessId p : universe_) {
+        v0_{ViewId::initial(), make_universe(members == 0 ? n : members)},
+        net_(sim_, rng_, net_config, universe_) {
+    for (ProcessId p : v0_.set()) {
       VsCallbacks cb;
       cb.on_newview = [this, p](const View& v) {
         trace_.push_back(spec::EvNewview{p, v});
@@ -159,7 +164,7 @@ class VsHarness {
         trace_.push_back(spec::EvGpsnd<Msg>{p, m});
       };
       nodes_[p] = std::make_unique<VsNode>(p, std::optional<View>{v0_}, net_,
-                                           sim_, VsConfig{}, std::move(cb));
+                                           sim_, vs_config, std::move(cb));
     }
   }
 
@@ -263,6 +268,83 @@ TEST(WatermarkModeTest, SafeRequiresEveryMemberUnderPause) {
   // one, either way) the message eventually stabilizes somewhere.
   const auto r = h.check_trace();
   EXPECT_TRUE(r.ok) << r.error;
+}
+
+/// A heartbeat period far above the link delay (and a suspect timeout above
+/// that), so within the first few milliseconds no tick has fired and only
+/// protocol frames can carry watermarks.
+VsConfig slow_heartbeats() {
+  VsConfig c;
+  c.heartbeat_period = 1 * kSecond;
+  c.suspect_timeout = 5 * kSecond;
+  return c;
+}
+
+TEST(WatermarkModeTest, LoneMessageIsSafeWithoutAHeartbeat) {
+  // One gpsnd from a non-sequencer: DATA to p0, SEQ to all, then each
+  // member's delivery publishes its row. Every member must emit safe
+  // within a few link delays (1 ms base + 0.5 ms mean jitter each), long
+  // before the first heartbeat at 1 s.
+  VsHarness h(3, 3, slow_heartbeats());
+  h.start();
+  h.node(1).gpsnd(opaque(1, 1));
+  h.run_for(20 * kMillisecond);
+  for (unsigned i = 0; i < 3; ++i) {
+    EXPECT_EQ(h.safes_[ProcessId{i}].size(), 1u) << "p" << i;
+    EXPECT_GT(h.node(i).stats().watermarks_published, 0u) << "p" << i;
+  }
+  const auto r = h.check_trace();
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(WatermarkModeTest, SameInstantDeliveriesPublishOncePerPeer) {
+  // With same-instant batching, the k SEQs the sequencer issues in one
+  // instant travel in one envelope per member and are delivered in one
+  // instant there: k deliveries cost one WATERMARK frame per peer. (An
+  // unbatched link spaces its FIFO arrivals 1 us apart, so each would be
+  // its own instant.)
+  net::NetConfig net;
+  net.batching = true;
+  VsHarness h(3, 4, slow_heartbeats(), net);
+  h.start();
+  constexpr unsigned kBurst = 8;
+  for (unsigned k = 0; k < kBurst; ++k) h.node(0).gpsnd(opaque(k + 1, 0));
+  h.run_for(20 * kMillisecond);
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_EQ(h.delivered_[ProcessId{i}].size(), kBurst) << "p" << i;
+    EXPECT_EQ(h.safes_[ProcessId{i}].size(), kBurst) << "p" << i;
+    EXPECT_LE(h.node(i).stats().watermarks_published, 2u) << "p" << i;
+  }
+}
+
+TEST(WatermarkModeTest, ForeignWatermarkFramesLeaveTheTableUntouched) {
+  // p3 is in the universe but not in v0. A well-formed WATERMARK from it,
+  // or one from a member naming another view, must not raise any row; a
+  // member's frame for the current view does.
+  VsHarness h(4, 5, slow_heartbeats(), net::NetConfig{}, 3);
+  h.start();
+  const ViewId current = ViewId::initial();
+  const ViewId other{current.epoch() + 1, ProcessId{1}};
+  h.net().send(ProcessId{3}, ProcessId{0},
+               encode(WireMsg{Watermark{current, 5, 5}}));
+  h.net().send(ProcessId{1}, ProcessId{0},
+               encode(WireMsg{Watermark{other, 5, 5}}));
+  h.run_for(10 * kMillisecond);
+  const WatermarkTable& wm = h.node(0).watermarks();
+  for (std::size_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(wm.delivered(row), 0u) << "row " << row;
+    EXPECT_EQ(wm.safe(row), 0u) << "row " << row;
+  }
+  EXPECT_EQ(h.node(0).stats().watermark_updates, 0u);
+  EXPECT_EQ(h.node(0).stats().decode_errors, 0u);
+
+  h.net().send(ProcessId{1}, ProcessId{0},
+               encode(WireMsg{Watermark{current, 2, 1}}));
+  h.run_for(10 * kMillisecond);
+  EXPECT_EQ(wm.delivered(1), 2u);
+  EXPECT_EQ(wm.safe(1), 1u);
+  EXPECT_EQ(wm.min_delivered(), 0u);  // p0 and p2 still bind the minimum
+  EXPECT_EQ(h.node(0).stats().watermark_updates, 1u);
 }
 
 }  // namespace

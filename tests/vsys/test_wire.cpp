@@ -76,6 +76,20 @@ TEST(WireTest, TokenRoundTrip) {
   EXPECT_EQ(decode(encode(WireMsg{tk})), WireMsg{tk});
 }
 
+TEST(WireTest, WatermarkRoundTrip) {
+  const Watermark wm{ViewId{5, ProcessId{2}}, 300, 290};
+  EXPECT_EQ(decode(encode(WireMsg{wm})), WireMsg{wm});
+  // Distinct fields: a swap would still round-trip, so pin inequality.
+  const Watermark swapped{wm.view, wm.safe, wm.delivered};
+  EXPECT_NE(WireMsg{swapped}, WireMsg{wm});
+  // Same counters, not the same frame as a heartbeat.
+  Heartbeat hb;
+  hb.view = wm.view;
+  hb.delivered = wm.delivered;
+  hb.safe = wm.safe;
+  EXPECT_NE(encode(WireMsg{hb}), encode(WireMsg{wm}));
+}
+
 TEST(WireTest, HeartbeatCarriesTokenRotation) {
   Heartbeat hb;
   hb.max_epoch = 3;
@@ -102,6 +116,8 @@ TEST(WireTest, ToStringCoversAllVariants) {
                 .find("seq"),
             std::string::npos);
   EXPECT_NE(to_string(WireMsg{Token{v.id(), 2, 3}}).find("token"),
+            std::string::npos);
+  EXPECT_NE(to_string(WireMsg{Watermark{v.id(), 4, 3}}).find("watermark"),
             std::string::npos);
 }
 

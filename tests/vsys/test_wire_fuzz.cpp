@@ -58,6 +58,8 @@ std::vector<WireMsg> samples() {
   delta.keep_len = 12;
   out.push_back(Seq{ViewId{4, ProcessId{1}}, 10, ProcessId{0}, Msg{delta}});
   out.push_back(Token{ViewId{3, ProcessId{1}}, 11, 12});
+  // Multi-byte varuint counters, so truncations land inside them too.
+  out.push_back(Watermark{ViewId{3, ProcessId{1}}, 300, 200});
   return out;
 }
 
