@@ -53,14 +53,6 @@ void VsNode::start() {
   // Assume everyone alive at start so the initial view is not immediately
   // reconfigured away.
   for (ProcessId q : net_.processes()) last_heard_[ix(q)] = sim_.now();
-  // Token mode: the initial view's coordinator mints its token (later views
-  // mint theirs in install()).
-  if (config_.ordering == OrderingMode::kTokenRing && view_.has_value() &&
-      *view_->set().begin() == self_) {
-    held_token_ = Token{view_->id(), 1, 1};
-    last_rotation_seen_ = 1;
-    last_rotation_processed_ = 1;
-  }
   ticker_.start();
 }
 
@@ -68,11 +60,6 @@ void VsNode::gpsnd(const Msg& m) {
   if (callbacks_.on_gpsnd) callbacks_.on_gpsnd(m);
   if (!view_.has_value()) return;  // matches the spec: sends with ⊥ vanish
   ++stats_.msgs_sent;
-  if (config_.ordering == OrderingMode::kTokenRing) {
-    token_backlog_.push_back(m);
-    if (held_token_.has_value()) service_token();
-    return;
-  }
   sent_data_.push_back(m);
   send_wire(sequencer(),
             Data{view_->id(), data_seq_out_++, m, delivered_, safe_emitted_});
@@ -176,7 +163,6 @@ void VsNode::on_tick() {
   if (view_.has_value()) {
     hb.view = view_->id();
     hb.delivered = delivered_;
-    hb.token_rotation = last_rotation_seen_;
     hb.safe = safe_emitted_;
   }
   const Bytes& payload = encode_reused(WireMsg{hb});
@@ -186,37 +172,35 @@ void VsNode::on_tick() {
     wm_published_[ix(q)] = hb.delivered;
   }
   // Within-view reliability: the network may lose messages (short-lived
-  // partitions). Sequencer mode: retransmit the head of my unadmitted DATA
-  // stream. Both modes: each issuer resends, to every lagging member, the
-  // SEQs it issued in the window the member is missing. The lag signal is
+  // partitions). Every member retransmits the head of its unadmitted DATA
+  // stream, and the sequencer resends, to every lagging member, the SEQs it
+  // issued in the window the member is missing. The lag signal is
   // the watermark table — stalled rows (a peer whose published watermark
   // stopped advancing, whatever the transport) trip the holdoff cursor and
   // get the suffix re-fed.
   if (view_.has_value()) {
-    if (config_.ordering == OrderingMode::kSequencer) {
-      if (own_acked_ < sent_data_.end_index()) {
-        // Head-of-stream DATA retransmission, gated by the holdoff: the
-        // original (or previous resend) may still be in flight, so resend
-        // only after holdoff ticks without admission progress.
-        if (own_acked_ != data_retx_acked_) {
-          data_retx_acked_ = own_acked_;
-          data_retx_idle_ = 0;
-        }
-        if (++data_retx_idle_ >= kRetransmitHoldoffTicks) {
-          send_wire(sequencer(),
-                    Data{view_->id(), own_acked_ + 1,
-                         sent_data_.at_abs(own_acked_), delivered_,
-                         safe_emitted_});
-          wm_published_[ix(sequencer())] = delivered_;
-          ++stats_.retransmits_sent;
-          data_retx_idle_ = 0;
-        } else {
-          ++stats_.retransmits_skipped;
-        }
-      } else {
+    if (own_acked_ < sent_data_.end_index()) {
+      // Head-of-stream DATA retransmission, gated by the holdoff: the
+      // original (or previous resend) may still be in flight, so resend
+      // only after holdoff ticks without admission progress.
+      if (own_acked_ != data_retx_acked_) {
         data_retx_acked_ = own_acked_;
         data_retx_idle_ = 0;
       }
+      if (++data_retx_idle_ >= kRetransmitHoldoffTicks) {
+        send_wire(sequencer(),
+                  Data{view_->id(), own_acked_ + 1,
+                       sent_data_.at_abs(own_acked_), delivered_,
+                       safe_emitted_});
+        wm_published_[ix(sequencer())] = delivered_;
+        ++stats_.retransmits_sent;
+        data_retx_idle_ = 0;
+      } else {
+        ++stats_.retransmits_skipped;
+      }
+    } else {
+      data_retx_acked_ = own_acked_;
+      data_retx_idle_ = 0;
     }
     if (!issued_.empty()) {
       // Self included: the issuer's own copy of a SEQ travels through the
@@ -243,7 +227,7 @@ void VsNode::on_tick() {
         }
         // Resend up to 8 of my issued SEQs above the member's position
         // (the GC'd prefix is below every member's watermark, so the probe
-        // window only ever misses seqnos another node issued).
+        // window misses only seqnos not issued yet).
         for (std::uint64_t s = have + 1; s <= have + 8; ++s) {
           Seq* sq = issued_.find(s);
           if (sq == nullptr) continue;
@@ -257,15 +241,6 @@ void VsNode::on_tick() {
           ++stats_.retransmits_sent;
         }
         cur.idle_ticks = 0;
-      }
-    }
-    if (config_.ordering == OrderingMode::kTokenRing) {
-      // Serve a held token (idle tokens advance at tick pace) and
-      // retransmit a forwarded token until its arrival is evidenced.
-      if (held_token_.has_value()) service_token();
-      if (forwarded_token_.has_value() &&
-          last_rotation_seen_ < forwarded_token_->rotation) {
-        send_wire(ring_successor(), *forwarded_token_);
       }
     }
   }
@@ -332,11 +307,6 @@ void VsNode::handle(const Heartbeat& hb, ProcessId from) {
   rec.reported = true;
   rec.view = hb.view;
   if (view_.has_value() && hb.view.has_value() && *hb.view == view_->id()) {
-    last_rotation_seen_ = std::max(last_rotation_seen_, hb.token_rotation);
-    if (forwarded_token_.has_value() &&
-        last_rotation_seen_ >= forwarded_token_->rotation) {
-      forwarded_token_.reset();
-    }
     // Raise the sender's watermark rows. The table's incremental minimum
     // makes the common no-progress heartbeat O(1): only a raise that moved
     // the binding minimum (the frontier) can advance stability.
@@ -398,18 +368,6 @@ void VsNode::install(const View& v) {
   std::fill(expected_data_seq_.begin(), expected_data_seq_.end(), 0);
   next_seqno_out_ = 1;
   issued_.clear();
-  token_backlog_.clear();
-  held_token_.reset();
-  forwarded_token_.reset();
-  last_rotation_seen_ = 0;
-  last_rotation_processed_ = 0;
-  if (config_.ordering == OrderingMode::kTokenRing &&
-      *v.set().begin() == self_) {
-    // The view's coordinator mints the single logical token.
-    held_token_ = Token{v.id(), 1, 1};
-    last_rotation_seen_ = 1;
-    last_rotation_processed_ = 1;
-  }
   recv_buffer_.clear();
   seq_log_.clear();
   delivered_ = 0;
@@ -441,7 +399,6 @@ void VsNode::apply_watermarks(ProcessId from, const ViewId& view,
 
 void VsNode::handle(const Data& da, ProcessId from) {
   // Sequencer role: order client payloads of the current view.
-  if (config_.ordering != OrderingMode::kSequencer) return;
   if (!view_.has_value() || da.view != view_->id()) return;
   // Any same-view DATA frame carries the sender's current watermarks, even
   // one that loses the admission race below.
@@ -486,50 +443,8 @@ void VsNode::issue(const Msg& payload, ProcessId origin, std::uint64_t seqno) {
   }
 }
 
-void VsNode::handle(const Token& tk, ProcessId /*from*/) {
-  if (config_.ordering != OrderingMode::kTokenRing) return;
-  if (!view_.has_value() || tk.view != view_->id()) return;
-  last_rotation_seen_ = std::max(last_rotation_seen_, tk.rotation);
-  if (forwarded_token_.has_value() &&
-      last_rotation_seen_ >= forwarded_token_->rotation) {
-    forwarded_token_.reset();
-  }
-  if (suppress_duplicate(tk.rotation, last_rotation_processed_)) return;
-  last_rotation_processed_ = tk.rotation;
-  held_token_ = tk;
-  // If there is work, order it immediately; otherwise the token advances at
-  // the next tick (idle circulation at heartbeat pace).
-  if (!token_backlog_.empty()) service_token();
-}
-
 void VsNode::handle(const Watermark& wm, ProcessId from) {
   apply_watermarks(from, wm.view, wm.delivered, wm.safe);
-}
-
-ProcessId VsNode::ring_successor() const {
-  auto it = view_->set().upper_bound(self_);
-  return it == view_->set().end() ? *view_->set().begin() : *it;
-}
-
-void VsNode::service_token() {
-  Token tk = *held_token_;
-  std::size_t issued_now = 0;
-  while (!token_backlog_.empty() && issued_now < config_.token_backlog_cap) {
-    issue(token_backlog_.front(), self_, tk.next_seqno++);
-    token_backlog_.pop_front();
-    ++issued_now;
-  }
-  held_token_.reset();
-  Token next{tk.view, tk.rotation + 1, tk.next_seqno};
-  if (ring_successor() == self_) {
-    // Singleton view: keep the token, just advance the rotation.
-    held_token_ = next;
-    last_rotation_seen_ = std::max(last_rotation_seen_, next.rotation);
-    last_rotation_processed_ = next.rotation;
-    return;
-  }
-  forwarded_token_ = next;
-  send_wire(ring_successor(), next);
 }
 
 void VsNode::handle(const Seq& sq, ProcessId from) {

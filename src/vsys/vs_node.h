@@ -75,25 +75,11 @@
 
 namespace dvs::vsys {
 
-/// Within-view total-order strategy.
-enum class OrderingMode {
-  /// The smallest member sequences everyone's messages (Isis/Amoeba style):
-  /// two hops to order, sequencer is a hot spot.
-  kSequencer,
-  /// A token rotates around the members; the holder assigns positions to
-  /// its own backlog (Totem style): no hot spot, but idle latency is bound
-  /// to the token circulation time.
-  kTokenRing,
-};
-
 struct VsConfig {
   sim::Time heartbeat_period = 20 * sim::kMillisecond;
   sim::Time suspect_timeout = 100 * sim::kMillisecond;
   sim::Time propose_timeout = 250 * sim::kMillisecond;
   sim::Time propose_cooldown = 50 * sim::kMillisecond;
-  OrderingMode ordering = OrderingMode::kSequencer;
-  /// Token mode: max messages a holder issues per rotation (fairness cap).
-  std::size_t token_backlog_cap = 16;
 };
 
 struct VsCallbacks {
@@ -118,7 +104,8 @@ struct VsNodeStats {
   /// Datagrams dropped because they failed to decode (truncated or
   /// corrupted in flight — the network's payload-truncation fault).
   std::uint64_t decode_errors = 0;
-  /// Redelivered SEQs/tokens discarded by the duplicate-suppression path.
+  /// Redelivered DATA and SEQ frames discarded by the duplicate-suppression
+  /// path.
   std::uint64_t duplicates_suppressed = 0;
   /// Tick retransmissions actually sent (DATA head + SEQ window copies) and
   /// ones skipped because a covering copy was still in flight within the
@@ -199,7 +186,6 @@ class VsNode {
   void handle(const Install& in, ProcessId from);
   void handle(const Data& da, ProcessId from);
   void handle(const Seq& sq, ProcessId from);
-  void handle(const Token& tk, ProcessId from);
   void handle(const Watermark& wm, ProcessId from);
 
   void maybe_propose();
@@ -210,12 +196,9 @@ class VsNode {
   /// `view` (no-op across views).
   void apply_watermarks(ProcessId from, const ViewId& view,
                         std::uint64_t delivered, std::uint64_t safe);
-  /// Token mode: issue up to the backlog cap and forward the token.
-  void service_token();
-  [[nodiscard]] ProcessId ring_successor() const;
   void issue(const Msg& payload, ProcessId origin, std::uint64_t seqno);
   /// The single duplicate-suppression predicate for redeliverable wire
-  /// items (SEQs and tokens): item number `n` is a duplicate when it is at
+  /// items (DATA and SEQ): item number `n` is a duplicate when it is at
   /// or below the already-processed watermark, or when it is already
   /// buffered awaiting contiguous delivery (`buffered`). Both redelivery
   /// paths route through here so duplicate injection exercises one tested
@@ -292,17 +275,10 @@ class VsNode {
   std::uint64_t own_acked_ = 0;  // my messages the sequencer admitted
   std::vector<std::uint64_t> expected_data_seq_;  // sequencer role
   std::uint64_t next_seqno_out_ = 1;              // sequencer role
-  // SEQs this node issued in the current view (sequencer: all of them;
-  // token mode: the ones issued while holding the token), keyed by seqno,
-  // for per-issuer retransmission to lagging members. The prefix below the
+  // SEQs this node issued in the current view (sequencer role), keyed by
+  // seqno, for retransmission to lagging members. The prefix below the
   // watermark table's delivered minimum is GC'd.
   SeqWindow<Seq> issued_;
-  // Token-ring state (reset on install).
-  RingBuffer<Msg> token_backlog_;          // my unsent client payloads
-  std::optional<Token> held_token_;        // the token, while holding it
-  std::optional<Token> forwarded_token_;   // awaiting evidence of arrival
-  std::uint64_t last_rotation_seen_ = 0;   // highest rotation observed
-  std::uint64_t last_rotation_processed_ = 0;
   SeqWindow<std::pair<ProcessId, Msg>> recv_buffer_;
   // Delivered messages in order (absolute index n = seqno n+1); the prefix
   // below safe_emitted_ is GC'd as safes are emitted.

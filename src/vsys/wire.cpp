@@ -12,7 +12,9 @@ enum class Tag : std::uint8_t {
   kInstall = 4,
   kData = 5,
   kSeq = 6,
-  kToken = 7,
+  // 7 is retired (it was the token-ring frame) and stays unassigned, so a
+  // datagram from an older build decodes to DecodeError, not to a
+  // different frame.
   kWatermark = 8,
 };
 
@@ -31,7 +33,6 @@ void encode_into(const WireMsg& m, Writer& w) {
     w.u8(hb->view.has_value() ? 1 : 0);
     if (hb->view.has_value()) w.view_id(*hb->view);
     w.u64(hb->delivered);
-    w.u64(hb->token_rotation);
     w.varuint(hb->safe);
   } else if (const auto* pr = std::get_if<Propose>(&m)) {
     w.u8(static_cast<std::uint8_t>(Tag::kPropose));
@@ -57,11 +58,6 @@ void encode_into(const WireMsg& m, Writer& w) {
     w.varuint(sq->wm_delivered);
     w.varuint(sq->wm_safe);
     w.msg(sq->payload);
-  } else if (const auto* tk = std::get_if<Token>(&m)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kToken));
-    w.view_id(tk->view);
-    w.u64(tk->rotation);
-    w.u64(tk->next_seqno);
   } else {
     const auto& wm = std::get<Watermark>(m);
     w.u8(static_cast<std::uint8_t>(Tag::kWatermark));
@@ -80,7 +76,6 @@ WireMsg decode(const Bytes& data) {
         hb.max_epoch = r.u64();
         if (r.u8() != 0) hb.view = r.view_id();
         hb.delivered = r.u64();
-        hb.token_rotation = r.u64();
         hb.safe = r.varuint();
         return hb;
       }
@@ -108,13 +103,6 @@ WireMsg decode(const Bytes& data) {
         sq.wm_safe = r.varuint();
         sq.payload = r.msg();
         return sq;
-      }
-      case Tag::kToken: {
-        Token tk;
-        tk.view = r.view_id();
-        tk.rotation = r.u64();
-        tk.next_seqno = r.u64();
-        return tk;
       }
       case Tag::kWatermark: {
         Watermark wm;
@@ -172,9 +160,6 @@ std::string to_string(const WireMsg& m) {
   } else if (const auto* sq = std::get_if<Seq>(&m)) {
     os << "seq{" << sq->view.to_string() << ",#" << sq->seqno << ","
        << sq->origin.to_string() << "," << dvs::to_string(sq->payload) << "}";
-  } else if (const auto* tk = std::get_if<Token>(&m)) {
-    os << "token{" << tk->view.to_string() << ",rot=" << tk->rotation
-       << ",next=" << tk->next_seqno << "}";
   } else {
     const auto& wm = std::get<Watermark>(m);
     os << "watermark{" << wm.view.to_string() << ",delivered=" << wm.delivered

@@ -7,7 +7,6 @@
 //   INSTALL    — coordinator finalizes the view
 //   DATA       — member sends a client payload to the view's sequencer
 //   SEQ        — sequencer broadcasts the payload with its order number
-//   TOKEN      — token-ring mode: the rotating permission to order
 //   WATERMARK  — a member's delivered/safe counters, sent when a delivery
 //                advances them (stability without waiting for a heartbeat)
 #pragma once
@@ -30,10 +29,6 @@ struct Heartbeat {
   /// (absent when the sender has no view). Drives safe indications.
   std::optional<ViewId> view;
   std::uint64_t delivered = 0;
-  /// Token-ring mode only: the highest token rotation the sender has
-  /// observed in its current view (0 in sequencer mode). Lets the previous
-  /// holder stop retransmitting the token.
-  std::uint64_t token_rotation = 0;
   /// The sender's safe watermark in its current view (the prefix it has
   /// emitted safe indications for). Feeds the per-member watermark table's
   /// safe column; purely observational for the protocol itself.
@@ -91,17 +86,6 @@ struct Seq {
   friend bool operator==(const Seq&, const Seq&) = default;
 };
 
-/// Token-ring ordering mode: the rotating permission to assign order
-/// positions. Exactly one logical token exists per view; `rotation`
-/// increments at every hop so retransmitted duplicates are discarded.
-struct Token {
-  ViewId view;
-  std::uint64_t rotation = 0;
-  std::uint64_t next_seqno = 1;  // next order position to assign
-
-  friend bool operator==(const Token&, const Token&) = default;
-};
-
 /// A member's watermarks in `view`, published as soon as a delivery
 /// advances them (coalesced per event-loop instant) to the members that
 /// have not already seen the count on a DATA/SEQ/heartbeat frame. Carries
@@ -114,8 +98,8 @@ struct Watermark {
   friend bool operator==(const Watermark&, const Watermark&) = default;
 };
 
-using WireMsg = std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq,
-                             Token, Watermark>;
+using WireMsg =
+    std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq, Watermark>;
 
 [[nodiscard]] Bytes encode(const WireMsg& m);
 /// Appends the encoding to `w` without allocating a fresh buffer — the
@@ -131,13 +115,14 @@ void encode_into(const WireMsg& m, Writer& w);
 //
 //   frame := kGroupFrameTag u8 | varuint group_id | payload bytes
 //
-// The tag byte sits outside both the vsys Tag range (1..8) and the BATCH
-// envelope tag (net/batcher.h), so a receiver can always tell a group frame
-// from legacy ungrouped traffic and from a coalesced envelope. group_id 0
-// is reserved for the pool-level membership group, which travels unframed.
-// shard::GroupMux is the one user, over a UdpTransport in dvsd and over a
-// SimNetwork in every sharded (and K=1) simulation, so the simulator's
-// truncation faults exercise this decoder too.
+// The tag byte sits outside both the vsys Tag range (1..8, with 7
+// unassigned) and the BATCH envelope tag (net/batcher.h), so a receiver can
+// always tell a group frame from legacy ungrouped traffic and from a
+// coalesced envelope. group_id 0 is reserved for the pool-level membership
+// group, which travels unframed. shard::GroupMux is the one user, over a
+// UdpTransport in dvsd and over a SimNetwork in every sharded (and K=1)
+// simulation, so the simulator's truncation faults exercise this decoder
+// too.
 inline constexpr std::uint8_t kGroupFrameTag = 0x47;  // 'G'
 
 struct GroupFrame {

@@ -39,7 +39,7 @@ std::vector<WireMsg> samples() {
   hb.max_epoch = 7;
   hb.view = ViewId{3, ProcessId{1}};
   hb.delivered = 9;
-  hb.token_rotation = 4;
+  hb.safe = 4;
   out.push_back(hb);
   out.push_back(Propose{sample_view()});
   out.push_back(FlushAck{ViewId{3, ProcessId{1}}});
@@ -57,7 +57,6 @@ std::vector<WireMsg> samples() {
   delta.base_view = ViewId{3, ProcessId{1}};
   delta.keep_len = 12;
   out.push_back(Seq{ViewId{4, ProcessId{1}}, 10, ProcessId{0}, Msg{delta}});
-  out.push_back(Token{ViewId{3, ProcessId{1}}, 11, 12});
   // Multi-byte varuint counters, so truncations land inside them too.
   out.push_back(Watermark{ViewId{3, ProcessId{1}}, 300, 200});
   return out;
