@@ -54,7 +54,7 @@ echo "== recovery gate (ASan) =="
 # truncation at every byte, duplicated records) and the crash-point sweep
 # (a restart injected at every persistence barrier) are exactly where a
 # framing bounds mistake or a teardown use-after-free would hide.
-ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ExchangeJournalTest|CrashPointSweepTest' \
+ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ToJournalTest|ExchangeJournalTest|CrashPointSweepTest' \
   --output-on-failure
 # Chaos conformance smoke with the restart adversary: kCrash upgraded to
 # genuine crash-restart plus scripted kRestart events, oracles online.

@@ -16,8 +16,9 @@
 // safe without a commit marker.
 //
 // Compaction: `Wal::snapshot` rewrites the whole key as a single snapshot
-// record (via StableStore::replace), resetting log growth; the layer
-// journals call it every `compact_every` appends and on recovery.
+// record (via StableStore::replace), resetting log growth. Every layer
+// journal calls it when storage is attached; the VS, DVS and exchange
+// journals also every N appends, the TO journal at each establishment.
 #pragma once
 
 #include <cstddef>

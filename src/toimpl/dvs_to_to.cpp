@@ -121,9 +121,7 @@ void DvsToTo::on_dvs_gprcv(const ClientMsg& m, ProcessId q) {
     }
     deferred_labels_.clear();
     highprimary_ = current_->id();
-    if (durability_.on_establish) {
-      durability_.on_establish(order_, nextconfirm_, highprimary_);
-    }
+    if (durability_.on_establish) durability_.on_establish();
     status_ = Status::kNormal;
     established_.insert(current_->id());
   }

@@ -95,15 +95,15 @@ struct ToDurableState {
 
 /// Write-ahead observers for the durable transitions, invoked synchronously
 /// as the state changes (one simulator event = one atomic log+act unit).
-/// The journal in tosys::ToNode appends one WAL record per call.
+/// The journal in tosys::ToNode appends one WAL record per call, except on
+/// establishment, where it rewrites the log as one snapshot.
 struct ToDurabilityHooks {
   std::function<void(const Label&, const AppMsg&)> on_content;  // content ∪=
   std::function<void(const Label&)> on_order_append;  // order := order + l
   // Establishment: order wholesale-replaced by fullorder(gotstate) (plus
-  // deferred replays), nextconfirm and highprimary jump.
-  std::function<void(const std::vector<Label>& order, std::uint64_t nextconfirm,
-                     const ViewId& highprimary)>
-      on_establish;
+  // deferred replays), nextconfirm and highprimary jump. Fires once the new
+  // values are in place, so durable_state() reads them.
+  std::function<void()> on_establish;
   std::function<void(std::uint64_t)> on_confirm;  // new nextconfirm
   std::function<void(std::uint64_t)> on_report;   // new nextreport
 };

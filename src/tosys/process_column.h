@@ -76,9 +76,9 @@ class ProcessColumn {
   /// in `store` — VS its epoch floor, DVS its att/reg knowledge, TO its
   /// content/order/cursors — starts with no view, rejoins through the
   /// membership protocol, and tells the observer CRASH_self once built.
-  /// With a store every layer journals into it from here on (the baseline
-  /// snapshots double as compaction). `net`, `sim`, `observer` and `store`
-  /// must outlive the column.
+  /// With a store every layer journals into it from here on, starting each
+  /// journal with a baseline snapshot of the state it has. `net`, `sim`,
+  /// `observer` and `store` must outlive the column.
   ProcessColumn(ProcessId self, const View& v0, net::Transport& net,
                 sim::Simulator& sim, const ColumnOptions& options,
                 ColumnObserver& observer, storage::StableStore* store,

@@ -13,9 +13,9 @@ constexpr std::uint8_t kToSnapshot = 1;   // full ToDurableState
 constexpr std::uint8_t kToContent = 2;    // content ∪= {⟨label, msg⟩}
 constexpr std::uint8_t kToOrder = 3;      // order := order + label
 constexpr std::uint8_t kToEstablish = 4;  // order/nextconfirm/highprimary :=
+                                          // (read only: older journals)
 constexpr std::uint8_t kToConfirm = 5;    // nextconfirm := max(·, value)
 constexpr std::uint8_t kToReport = 6;     // nextreport := max(·, value)
-constexpr std::size_t kToCompactEvery = 64;
 
 void encode_snapshot(Writer& w, const toimpl::ToDurableState& s) {
   w.varuint(s.content.size());
@@ -87,38 +87,23 @@ void ToNode::attach_storage(storage::StableStore& store,
   wal_.emplace(store, key);
   snapshot_state();
   toimpl::ToDurabilityHooks hooks;
-  auto maybe_compact = [this] {
-    if (wal_->records_since_snapshot() >= kToCompactEvery) snapshot_state();
-  };
-  hooks.on_content = [this, maybe_compact](const Label& l, const AppMsg& a) {
+  hooks.on_content = [this](const Label& l, const AppMsg& a) {
     wal_->append(kToContent, [&](Writer& w) {
       w.label(l);
       w.app_msg(a);
     });
-    maybe_compact();
   };
-  hooks.on_order_append = [this, maybe_compact](const Label& l) {
+  hooks.on_order_append = [this](const Label& l) {
     wal_->append(kToOrder, [&](Writer& w) { w.label(l); });
-    maybe_compact();
   };
-  hooks.on_establish = [this, maybe_compact](const std::vector<Label>& order,
-                                             std::uint64_t nextconfirm,
-                                             const ViewId& highprimary) {
-    wal_->append(kToEstablish, [&](Writer& w) {
-      w.varuint(order.size());
-      for (const Label& l : order) w.label(l);
-      w.varuint(nextconfirm);
-      w.view_id(highprimary);
-    });
-    maybe_compact();
-  };
-  hooks.on_confirm = [this, maybe_compact](std::uint64_t nextconfirm) {
+  // Establishment replaces order wholesale, and its state exchange already
+  // costs O(history), so it rewrites the journal as one snapshot.
+  hooks.on_establish = [this] { snapshot_state(); };
+  hooks.on_confirm = [this](std::uint64_t nextconfirm) {
     wal_->append(kToConfirm, [&](Writer& w) { w.varuint(nextconfirm); });
-    maybe_compact();
   };
-  hooks.on_report = [this, maybe_compact](std::uint64_t nextreport) {
+  hooks.on_report = [this](std::uint64_t nextreport) {
     wal_->append(kToReport, [&](Writer& w) { w.varuint(nextreport); });
-    maybe_compact();
   };
   automaton_.set_durability_hooks(std::move(hooks));
 }

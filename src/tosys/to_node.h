@@ -66,10 +66,12 @@ class ToNode {
   // ----- durability (crash-restart recovery) -------------------------------
 
   /// Starts journaling the automaton's durable transitions (content
-  /// inserts, order appends, establishments, confirm/report advances — see
+  /// inserts, order appends, confirm/report advances — see
   /// toimpl::ToDurableState) into `store` at `key`, writing the current
-  /// durable state as the baseline snapshot. Call before any traffic (and
-  /// after restore()).
+  /// durable state as the baseline snapshot. The log is append-only from
+  /// there on; only an establishment, which replaces `order` wholesale,
+  /// rewrites it as a fresh snapshot. Call before any traffic (and after
+  /// restore()).
   void attach_storage(storage::StableStore& store, const std::string& key);
 
   /// Reinstates recovered durable state after a crash-restart; forwards to
@@ -80,14 +82,16 @@ class ToNode {
 
   /// Replays the journal at `key`. An empty/absent log yields a fresh
   /// state; corrupt tails are discarded (replay is idempotent, so a clean
-  /// prefix is always a valid — possibly older — durable state).
+  /// prefix is always a valid — possibly older — durable state). Journals
+  /// written before establishments became snapshots still carry
+  /// establishment records; those replay too.
   [[nodiscard]] static toimpl::ToDurableState recover(
       const storage::StableStore& store, const std::string& key);
 
  private:
   void drain();
-  /// Writes one WAL snapshot record of the current durable state (also the
-  /// compaction step — snapshots replace the whole log).
+  /// Replaces the whole log with one snapshot record of the current durable
+  /// state (at attach and at establishment).
   void snapshot_state();
 
   toimpl::DvsToTo automaton_;

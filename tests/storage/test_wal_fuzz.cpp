@@ -291,9 +291,11 @@ TEST(StableStoreTest, WalCompactionResetsGrowth) {
 
 // ----- layer journals from a real run -------------------------------------
 
-/// Runs a persistent 3-process cluster with client load and a mid-run
-/// partition, so all journals (epoch bumps, act/amb/attempt/register,
-/// content/order/establish/confirm) carry real traffic.
+/// Runs a persistent 3-process cluster with client load before and after a
+/// mid-run partition, so all journals (epoch bumps, act/amb/attempt/register,
+/// content/order/confirm, the TO establishment snapshots) carry real
+/// traffic, and the TO logs run to hundreds of records past their last
+/// snapshot.
 tosys::Cluster& persistent_cluster() {
   static tosys::Cluster* cluster = [] {
     tosys::ClusterConfig cfg;
@@ -302,15 +304,22 @@ tosys::Cluster& persistent_cluster() {
     auto* c = new tosys::Cluster(cfg, 1337);
     c->start();
     c->run_for(300 * kMillisecond);
-    for (std::uint64_t uid = 1; uid <= 6; ++uid) {
-      const ProcessId p{static_cast<std::uint32_t>(uid % 3)};
-      c->bcast(p, AppMsg{uid, p, "m"});
-    }
-    c->run_for(500 * kMillisecond);
+    std::uint64_t uid = 0;
+    auto load = [&](std::uint64_t commands) {
+      for (std::uint64_t i = 0; i < commands; ++i) {
+        ++uid;
+        const ProcessId p{static_cast<std::uint32_t>(uid % 3)};
+        c->bcast(p, AppMsg{uid, p, "m"});
+        c->run_for(kMillisecond);
+      }
+      c->run_for(500 * kMillisecond);
+    };
+    load(300);
     c->net().pause(ProcessId{2});  // force a view change → epoch bumps
     c->run_for(2 * kSecond);
     c->net().resume(ProcessId{2});
     c->run_for(2 * kSecond);
+    load(300);
     return c;
   }();
   return *cluster;
@@ -351,6 +360,8 @@ TEST(LayerJournalTest, RecoverEqualsLiveDurableState) {
         tosys::ToNode::recover(*store, id + "/to");
     EXPECT_EQ(to, c.to_node(p).automaton().durable_state()) << id;
     EXPECT_FALSE(to.order.empty()) << id;  // the load actually got ordered
+    // Appends only since the last establishment: hundreds of records.
+    EXPECT_GT(read_wal(*store, id + "/to").records.size(), 300u) << id;
   }
 }
 
