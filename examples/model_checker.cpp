@@ -142,7 +142,7 @@ int run_sweep(std::size_t n, std::size_t steps, std::uint64_t seeds,
               "%zu steps taken, %zu external events, %zu views, "
               "%zu invariant checks, zero violations.\n",
               result.seeds_run, steps, n,
-              parallel::resolve_jobs(jobs), result.total.steps_taken,
+              parallel::resolve_jobs(jobs, seeds), result.total.steps_taken,
               result.total.external_events, result.total.views_created,
               result.total.invariant_checks);
   return 0;
@@ -152,16 +152,15 @@ int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
               std::uint64_t seeds, std::size_t jobs, bool smoke, bool erratum,
               bool metrics, bool batch, bool restart) {
   shard::ShardChaosConfig config;
-  config.shards = shards;
-  config.replication = replication;
-  tosys::ChaosConfig& chaos = config.chaos;
-  chaos.n_processes = n;
-  chaos.batching = batch;
-  chaos.to_options.printed_figure_mode = erratum;
+  config.cluster.shards = shards;
+  config.cluster.replication = replication;
+  tosys::ClusterConfig& base = config.cluster.base;
+  base.n_processes = n;
+  base.net.batching = batch;
+  base.to_options.printed_figure_mode = erratum;
   if (restart) {
-    chaos.persistence = true;
-    chaos.crashes_restart = true;
-    chaos.plan.w_restart = 0.15;
+    config.crashes_restart = true;
+    config.plan.w_restart = 0.15;
   }
   if (erratum) {
     // The reverted corrections misbehave when client messages are queued
@@ -169,15 +168,15 @@ int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
     // joiner, whose whole backlog is labelled during its first exchange
     // and delivered twice. Run with one process outside v0 and a denser
     // client load so broadcasts land in those windows.
-    if (n > 1) chaos.initial_members = n - 1;
-    chaos.broadcasts = 200;
+    if (n > 1) base.initial_members = n - 1;
+    config.broadcasts = 200;
   }
   if (smoke) {
     // CI sanitizer gate: fewer seeds over a shorter horizon.
-    chaos.plan.horizon = 2 * sim::kSecond;
-    chaos.plan.events = 8;
-    chaos.broadcasts = 30;
-    chaos.settle = 2 * sim::kSecond;
+    config.plan.horizon = 2 * sim::kSecond;
+    config.plan.events = 8;
+    config.broadcasts = 30;
+    config.settle = 2 * sim::kSecond;
   }
 
   parallel::SeedSweepConfig sweep;
@@ -221,7 +220,7 @@ int run_chaos(std::size_t n, std::size_t shards, std::size_t replication,
     std::fputs(result.total.metrics.to_json().c_str(), stdout);
     return 0;
   }
-  const tosys::ChaosStats& t = result.total;
+  const shard::ChaosStats& t = result.total;
   const auto sum = [&t](const char* counter) {
     return static_cast<unsigned long long>(t.metrics.counter_sum(counter));
   };

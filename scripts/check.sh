@@ -38,6 +38,17 @@ ctest --test-dir build-asan -L obs --output-on-failure
 # many workers ran the sweep.
 ./build/examples/model_checker --chaos --smoke --metrics --jobs 4 | tee /tmp/chaos_metrics_j4.json >/dev/null
 ./build/examples/model_checker --chaos --smoke --metrics --jobs 1 | cmp - /tmp/chaos_metrics_j4.json
+# The committed deterministic snapshots pin the simulator's behaviour: the
+# smoke sweep's metric export must reproduce them byte for byte
+# (scripts/bench_snapshot.sh writes both; refresh them with any change that
+# is meant to alter the simulated runs).
+./build/examples/model_checker --chaos --smoke --metrics --jobs 4 | cmp - BENCH_obs.json
+./build/examples/model_checker --chaos --smoke --metrics --batch --jobs 4 | cmp - BENCH_obs_batched.json
+# A chaos config no seed can run (here an empty pool) is a harness error,
+# exit 2: never a counterexample, and never a passed erratum self-test.
+rc=0
+./build/examples/model_checker --chaos --smoke --erratum --jobs 1 0 2 >/dev/null || rc=$?
+[[ $rc -eq 2 ]] || { echo "invalid chaos config exited $rc, want 2"; exit 1; }
 
 echo "== batch gate (ASan) =="
 # The batching/delta suites in isolation: BATCH framing round-trips and

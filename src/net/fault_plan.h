@@ -8,7 +8,7 @@
 // (FaultPlan::schedule) — so the adversarial schedule that produced a
 // violation can be dumped, stored, edited and replayed bit-identically.
 //
-// The chaos harness (tosys/chaos.h, `model_checker --chaos`) drives
+// The chaos harness (shard/shard_chaos.h, `model_checker --chaos`) drives
 // FaultPlan-shaped adversaries against the full distributed stack with the
 // spec-conformance oracles attached.
 #pragma once

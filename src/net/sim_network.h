@@ -108,6 +108,8 @@ struct NetConfig {
   /// releases; bursts beyond it degrade to plain malloc/free (counted, never
   /// refused).
   std::size_t arena_max_retained = 1024;
+
+  friend bool operator==(const NetConfig&, const NetConfig&) = default;
 };
 
 // NetStats lives in net/transport.h — it is the stats contract every

@@ -8,7 +8,8 @@ namespace dvs::parallel {
 
 ChaosSweepResult run_chaos_sweep(const SeedSweepConfig& config,
                                  const shard::ShardChaosConfig& chaos) {
-  return sweep_seeds<tosys::ChaosStats>(config, [&chaos](std::uint64_t seed) {
+  shard::validate(chaos);
+  return sweep_seeds<shard::ChaosStats>(config, [&chaos](std::uint64_t seed) {
     return shard::run_chaos_seed(seed, chaos);
   });
 }

@@ -31,14 +31,14 @@
 #include "parallel/thread_pool.h"
 #include "shard/shard_chaos.h"
 #include "toimpl/dvs_to_to.h"
-#include "tosys/chaos.h"
 
 namespace dvs::parallel {
 
 struct SeedSweepConfig {
   std::uint64_t first_seed = 1;
   std::uint64_t num_seeds = 16;
-  /// Worker threads; 0 = hardware_concurrency().
+  /// Worker threads; 0 = hardware_concurrency(). Never more than the
+  /// sweep has seeds (resolve_jobs).
   std::size_t jobs = 0;
 };
 
@@ -76,7 +76,7 @@ template <typename Stats>
   };
   std::vector<Slot> slots(static_cast<std::size_t>(config.num_seeds));
   {
-    ThreadPool pool(config.jobs);
+    ThreadPool pool(resolve_jobs(config.jobs, slots.size()));
     for (std::size_t i = 0; i < slots.size(); ++i) {
       pool.submit([&task, &slot = slots[i],
                    seed = config.first_seed + i]() noexcept {
@@ -130,13 +130,15 @@ using SeedTask =
 
 // ----- chaos sweeps ----------------------------------------------------------
 
-using ChaosSweepResult = SweepResult<tosys::ChaosStats>;
+using ChaosSweepResult = SweepResult<shard::ChaosStats>;
 
 /// Runs the FaultPlan-driven full-stack chaos executions
-/// (shard/shard_chaos.h; `chaos.shards` columns over one pool) for the
-/// seeds in `config`, each with the conformance oracles attached. Never
-/// throws for seed failures; the lowest failing seed's ChaosFailure message
-/// (seed + replayable plan + trace tail) lands in first_failure.
+/// (shard/shard_chaos.h; `chaos.cluster.shards` columns over one pool) for
+/// the seeds in `config`, each with the conformance oracles attached. An
+/// invalid `chaos` throws std::logic_error before any seed runs
+/// (shard::validate). Never throws for seed failures; the lowest failing
+/// seed's ChaosFailure message (seed + replayable plan + trace tail) lands
+/// in first_failure.
 [[nodiscard]] ChaosSweepResult run_chaos_sweep(
     const SeedSweepConfig& config, const shard::ShardChaosConfig& chaos);
 

@@ -1,13 +1,14 @@
 #include "parallel/thread_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace dvs::parallel {
 
-std::size_t resolve_jobs(std::size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+std::size_t resolve_jobs(std::size_t requested, std::size_t tasks) {
+  const std::size_t jobs =
+      requested != 0 ? requested : std::thread::hardware_concurrency();
+  return std::max<std::size_t>(1, std::min(jobs, tasks));
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

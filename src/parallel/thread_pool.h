@@ -10,6 +10,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -19,8 +20,11 @@
 namespace dvs::parallel {
 
 /// Number of workers to use for `requested` (0 = one per hardware thread,
-/// falling back to 1 when the runtime cannot tell).
-[[nodiscard]] std::size_t resolve_jobs(std::size_t requested);
+/// falling back to 1 when the runtime cannot tell), never more than `tasks`
+/// and never fewer than 1: a pool for three seeds starts at most three
+/// threads, whatever was asked for.
+[[nodiscard]] std::size_t resolve_jobs(std::size_t requested,
+                                       std::size_t tasks = SIZE_MAX);
 
 class ThreadPool {
  public:

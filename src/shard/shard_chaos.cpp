@@ -1,57 +1,52 @@
 #include "shard/shard_chaos.h"
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/fault_plan.h"
 #include "obs/stack_tracer.h"
+#include "shard/provision.h"
 #include "shard/shard_cluster.h"
 #include "tosys/cluster.h"
 
 namespace dvs::shard {
-namespace {
 
-tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
-  tosys::ClusterConfig cc;
-  cc.n_processes = c.n_processes;
-  cc.initial_members = c.initial_members;
-  cc.net.drop_probability = c.drop_probability;
-  cc.net.duplicate_probability = c.duplicate_probability;
-  cc.net.max_duplicates = c.max_duplicates;
-  cc.net.reorder_probability = c.reorder_probability;
-  cc.net.reorder_window = c.reorder_window;
-  cc.net.truncate_probability = c.truncate_probability;
-  cc.net.batching = c.batching;
-  cc.record_traces = true;
-  cc.conformance_oracle = true;
-  cc.to_options = c.to_options;
-  // Restart adversaries need somewhere to recover from.
-  cc.persistence =
-      c.persistence || c.crashes_restart || c.plan.w_restart > 0;
-  return cc;
+void validate(const ShardChaosConfig& config) {
+  const ShardClusterConfig& c = config.cluster;
+  (void)provision(make_universe(c.base.n_processes), c.shards, c.replication);
+  if (c.base.initial_members > c.base.n_processes) {
+    throw std::logic_error("chaos: initial members exceed the pool");
+  }
 }
 
-}  // namespace
+ChaosStats& operator+=(ChaosStats& a, const ChaosStats& b) {
+  a.events_checked += b.events_checked;
+  a.invariant_checks += b.invariant_checks;
+  a.broadcasts += b.broadcasts;
+  a.deliveries += b.deliveries;
+  a.fault_events += b.fault_events;
+  a.restarts += b.restarts;
+  a.metrics += b.metrics;
+  return a;
+}
 
 ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
                                       const ShardChaosConfig& config) {
-  const tosys::ChaosConfig& c = config.chaos;
-  ShardClusterConfig scc;
-  scc.shards = config.shards;
-  scc.replication = config.replication;
-  scc.dynamic = config.dynamic;
-  scc.base = make_base(c);
-  if (scc.dynamic) scc.base.persistence = true;
+  ShardClusterConfig scc = config.cluster;
+  // Restart adversaries, and migrations, need somewhere to recover from.
+  scc.base.persistence = scc.base.persistence || config.crashes_restart ||
+                         config.plan.w_restart > 0 || scc.dynamic;
   ShardCluster sc(scc, seed);
 
   const net::FaultPlan plan = net::FaultPlan::random(
       seed, config.fault_targets.empty() ? sc.pool() : config.fault_targets,
-      c.plan);
+      config.plan);
   ShardChaosResult out;
   out.plan_text = plan.to_string();
   net::FaultPlan::ScheduleHooks hooks;
-  hooks.crashes_restart = c.crashes_restart;
+  hooks.crashes_restart = config.crashes_restart;
   if (scc.base.persistence) {
     hooks.restart = [&sc](ProcessId p) { sc.restart(p); };
   }
@@ -64,9 +59,9 @@ ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
   const std::size_t shard_count = sc.shard_count();
   Rng load(seed ^ 0xb0adca5700150adULL);
   const std::vector<ProcessId> procs(sc.pool().begin(), sc.pool().end());
-  for (std::size_t i = 0; i < c.broadcasts; ++i) {
+  for (std::size_t i = 0; i < config.broadcasts; ++i) {
     const auto at = static_cast<sim::Time>(
-        1 + load.below(static_cast<std::size_t>(c.plan.horizon)));
+        1 + load.below(static_cast<std::size_t>(config.plan.horizon)));
     const ProcessId p = procs[load.below(procs.size())];
     const auto k = static_cast<std::uint32_t>(i % shard_count) + 1;
     const ProcessId local(static_cast<std::uint32_t>(
@@ -79,34 +74,34 @@ ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
   // Mid-run Invariant 4.1/4.2 checks against the oracles' resolved DVS
   // state — a transiently bad state between events is caught even if the
   // event stream itself stays acceptable.
-  if (c.invariant_check_period > 0) {
-    for (sim::Time t = c.invariant_check_period; t < c.plan.horizon;
-         t += c.invariant_check_period) {
+  if (config.invariant_check_period > 0) {
+    for (sim::Time t = config.invariant_check_period; t < config.plan.horizon;
+         t += config.invariant_check_period) {
       sc.sim().schedule_at(t, [&sc] { (void)sc.check_invariants(); });
     }
   }
 
   sc.start();
-  sc.run_for(c.plan.horizon);
+  sc.run_for(config.plan.horizon);
   // Recovery phase: full connectivity back, everyone resumed, and time to
   // converge — the oracles watch the repair traffic too.
   sc.net().heal();
   for (ProcessId p : sc.pool()) sc.net().resume(p);
-  sc.run_for(c.settle);
+  sc.run_for(config.settle);
   (void)sc.check_invariants();
 
   if (!sc.oracle_ok()) {
     out.ok = false;
     out.failure = "chaos seed " + std::to_string(seed) +
-                  " (n=" + std::to_string(c.n_processes) +
+                  " (n=" + std::to_string(scc.base.n_processes) +
                   "): " + sc.violation_message() +
                   "\nfault plan (replay with net::FaultPlan::parse):\n" +
                   out.plan_text;
   }
 
   out.orders.resize(shard_count);
-  tosys::ChaosStats& s = out.stats;
-  s.broadcasts = c.broadcasts;
+  ChaosStats& s = out.stats;
+  s.broadcasts = config.broadcasts;
   s.fault_events = plan.events.size();
   s.restarts = sc.restarts();
   for (std::size_t k = 1; k <= shard_count; ++k) {
@@ -130,10 +125,10 @@ ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
   return out;
 }
 
-tosys::ChaosStats run_chaos_seed(std::uint64_t seed,
-                                 const ShardChaosConfig& config) {
+ChaosStats run_chaos_seed(std::uint64_t seed,
+                          const ShardChaosConfig& config) {
   ShardChaosResult r = run_shard_chaos_seed(seed, config);
-  if (!r.ok) throw tosys::ChaosFailure(seed, r.failure);
+  if (!r.ok) throw ChaosFailure(seed, r.failure);
   return std::move(r.stats);
 }
 

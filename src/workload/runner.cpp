@@ -77,7 +77,7 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   tosys::ClusterConfig& cc = scc.base;
   cc.n_processes = sc.n;
   cc.initial_members = sc.initial;
-  cc.net = sc.net_config();
+  cc.net = sc.net;
   if (sc.heartbeat_ms != 0) {
     cc.vs.heartbeat_period = sc.heartbeat_ms * sim::kMillisecond;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -58,13 +59,19 @@ void require_ms(sim::Time t, const char* what) {
   }
 }
 
+ProcessId parse_process(const std::string& s) {
+  const std::uint64_t id = parse_u64(s);
+  if (id > std::numeric_limits<ProcessId::Rep>::max()) {
+    throw std::runtime_error("process id " + s + " out of range");
+  }
+  return ProcessId{static_cast<ProcessId::Rep>(id)};
+}
+
 std::vector<ProcessId> parse_targets(const std::string& text) {
   std::vector<ProcessId> out;
   std::istringstream ts(text);
   std::string id;
-  while (std::getline(ts, id, ',')) {
-    out.push_back(ProcessId{static_cast<ProcessId::Rep>(parse_u64(id))});
-  }
+  while (std::getline(ts, id, ',')) out.push_back(parse_process(id));
   if (out.empty()) throw std::runtime_error("empty target list");
   return out;
 }
@@ -83,6 +90,18 @@ std::string format_targets(const std::vector<ProcessId>& targets) {
 Scenario Scenario::parse(const std::string& text) {
   Scenario s;
   s.phases.clear();
+  // `region P R` and `latency A B MS` lines index by process and by region,
+  // and both ids are below n (n processes fill at most n regions). They are
+  // applied once every line is read and n is known, so an id past it is
+  // rejected with its line before it sizes anything.
+  struct IndexedLine {
+    std::size_t lineno;
+    std::string line;
+    std::size_t a, b;
+    sim::Time us;  // latency only
+  };
+  std::vector<IndexedLine> region_lines;
+  std::vector<IndexedLine> latency_lines;
   std::istringstream in(text);
   std::string line;
   std::size_t lineno = 0;
@@ -131,7 +150,7 @@ Scenario Scenario::parse(const std::string& text) {
       } else if (key == "propose_ms") {
         s.propose_ms = parse_u64(word());
       } else if (key == "batching") {
-        s.batching = parse_on_off(word());
+        s.net.batching = parse_on_off(word());
       } else if (key == "persistence") {
         s.persistence = parse_on_off(word());
       } else if (key == "clients") {
@@ -177,29 +196,19 @@ Scenario Scenario::parse(const std::string& text) {
         s.burst_period = ms_value();
         s.burst_len = ms_value();
         s.burst_mult = parse_double(word());
-      } else if (key == "region") {
-        const std::size_t p = parse_u64(word());
-        const std::size_t r = parse_u64(word());
-        if (s.region.size() <= p) s.region.resize(p + 1, 0);
-        s.region[p] = r;
+      } else if (key == "region") {  // braced lists read left to right
+        region_lines.push_back(
+            {lineno, line, parse_u64(word()), parse_u64(word()), 0});
       } else if (key == "latency") {
-        const std::size_t a = parse_u64(word());
-        const std::size_t b = parse_u64(word());
-        const sim::Time us = ms_value();
-        const std::size_t need = std::max(a, b) + 1;
-        if (s.latency.size() < need) {
-          for (auto& row : s.latency) row.resize(need, 0);
-          s.latency.resize(need, std::vector<sim::Time>(need, 0));
-        }
-        s.latency[a][b] = us;  // symmetric: one line sets both directions
-        s.latency[b][a] = us;
+        latency_lines.push_back(
+            {lineno, line, parse_u64(word()), parse_u64(word()), ms_value()});
       } else if (key == "drop") {
-        s.drop = parse_double(word());
+        s.net.drop_probability = parse_double(word());
       } else if (key == "duplicate") {
-        s.duplicate = parse_double(word());
+        s.net.duplicate_probability = parse_double(word());
       } else if (key == "flap") {
         FlapSpec f;
-        f.target = ProcessId{static_cast<ProcessId::Rep>(parse_u64(word()))};
+        f.target = parse_process(word());
         f.first = ms_value();
         f.period = ms_value();
         f.down = ms_value();
@@ -256,6 +265,23 @@ Scenario Scenario::parse(const std::string& text) {
       bad_line(lineno, line, "number out of range");
     }
   }
+  std::vector<std::size_t>& region = s.net.process_region;
+  for (const IndexedLine& l : region_lines) {
+    if (l.a >= s.n) bad_line(l.lineno, l.line, "process outside 0..n-1");
+    region.resize(std::max(region.size(), l.a + 1), 0);
+    region[l.a] = l.b;
+  }
+  std::vector<std::vector<sim::Time>>& latency = s.net.region_delay;
+  for (const IndexedLine& l : latency_lines) {
+    const std::size_t top = std::max(l.a, l.b);
+    if (top >= s.n) bad_line(l.lineno, l.line, "region outside 0..n-1");
+    if (latency.size() <= top) {
+      for (auto& row : latency) row.resize(top + 1, 0);
+      latency.resize(top + 1, std::vector<sim::Time>(top + 1, 0));
+    }
+    latency[l.a][l.b] = l.us;  // symmetric: one line sets both directions
+    latency[l.b][l.a] = l.us;
+  }
   s.validate();
   return s;
 }
@@ -284,7 +310,7 @@ std::string Scenario::to_string() const {
   if (heartbeat_ms != 0) os << "heartbeat_ms " << heartbeat_ms << "\n";
   if (suspect_ms != 0) os << "suspect_ms " << suspect_ms << "\n";
   if (propose_ms != 0) os << "propose_ms " << propose_ms << "\n";
-  os << "batching " << (batching ? "on" : "off") << "\n";
+  os << "batching " << (net.batching ? "on" : "off") << "\n";
   os << "persistence " << (persistence ? "on" : "off") << "\n";
   os << "clients " << clients << "\n";
   os << "loop " << (closed_loop ? "closed" : "open") << "\n";
@@ -307,17 +333,23 @@ std::string Scenario::to_string() const {
     os << "burst " << to_ms(burst_period) << " " << to_ms(burst_len) << " "
        << fmt_double(burst_mult) << "\n";
   }
+  const std::vector<std::size_t>& region = net.process_region;
   for (std::size_t p = 0; p < region.size(); ++p) {
     os << "region " << p << " " << region[p] << "\n";
   }
+  const std::vector<std::vector<sim::Time>>& latency = net.region_delay;
   for (std::size_t a = 0; a < latency.size(); ++a) {
     for (std::size_t b = a; b < latency.size(); ++b) {
       os << "latency " << a << " " << b << " " << to_ms(latency[a][b])
          << "\n";
     }
   }
-  if (drop != 0.0) os << "drop " << fmt_double(drop) << "\n";
-  if (duplicate != 0.0) os << "duplicate " << fmt_double(duplicate) << "\n";
+  if (net.drop_probability != 0.0) {
+    os << "drop " << fmt_double(net.drop_probability) << "\n";
+  }
+  if (net.duplicate_probability != 0.0) {
+    os << "duplicate " << fmt_double(net.duplicate_probability) << "\n";
+  }
   for (const FlapSpec& f : flaps) {
     os << "flap " << f.target.value() << " " << to_ms(f.first) << " "
        << to_ms(f.period) << " " << to_ms(f.down) << " " << f.count << "\n";
@@ -399,6 +431,8 @@ void Scenario::validate() const {
     if (burst_len > burst_period) fail("burst length exceeds its period");
     if (burst_mult <= 0.0) fail("burst mult must be > 0");
   }
+  const std::vector<std::size_t>& region = net.process_region;
+  const std::vector<std::vector<sim::Time>>& latency = net.region_delay;
   if (!region.empty()) {
     if (region.size() != n) fail("region lines must cover exactly 0..n-1");
     if (latency.empty()) fail("regions assigned but no latency matrix");
@@ -417,6 +451,8 @@ void Scenario::validate() const {
       }
     }
   }
+  const double drop = net.drop_probability;
+  const double duplicate = net.duplicate_probability;
   if (drop < 0.0 || drop > 1.0) fail("drop must be in [0,1]");
   if (duplicate < 0.0 || duplicate > 1.0) fail("duplicate must be in [0,1]");
   // Flap windows drive the single global partition state, so they must not
@@ -612,17 +648,6 @@ net::FaultPlan Scenario::compile_faults(std::uint64_t run_seed) const {
                      return a.at < b.at;
                    });
   return plan;
-}
-
-net::NetConfig Scenario::net_config() const {
-  net::NetConfig nc;
-  nc.drop_probability = drop;
-  nc.duplicate_probability = duplicate;
-  nc.max_duplicates = 2;
-  nc.batching = batching;
-  nc.process_region = region;
-  nc.region_delay = latency;
-  return nc;
 }
 
 std::vector<Phase> Scenario::effective_phases() const {

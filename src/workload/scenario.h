@@ -18,8 +18,8 @@
 //                     `churn ... restart` additionally arms the standard
 //                     ScheduleHooks::crashes_restart upgrade (volatile state
 //                     wiped at the crash instant, rebuilt from the WAL), so
-//                     churn runs under exactly ChaosConfig's pause-vs-restart
-//                     semantics.
+//                     churn runs under exactly the chaos harness's
+//                     pause-vs-restart semantics (shard/shard_chaos.h).
 //
 // The text format is line-oriented key/value like daemon::DaemonConfig:
 // '#' starts a comment, unknown keys are an error, parse(to_string())
@@ -98,7 +98,7 @@ struct WindowSpec {
 /// from a deterministic per-seed stream, each outage uniform in
 /// [down_min, down_max]. `restart_semantics` upgrades every churn crash to a
 /// genuine crash-restart via ScheduleHooks::crashes_restart (and implies
-/// persistence) — the same single knob ChaosConfig uses.
+/// persistence) — the same single knob ShardChaosConfig uses.
 struct ChurnSpec {
   double events_per_sec = 0.0;
   bool restart_semantics = false;
@@ -142,8 +142,7 @@ struct Scenario {
   std::uint64_t suspect_ms = 0;
   std::uint64_t propose_ms = 0;
 
-  /// Stack knobs, mirroring ChaosConfig.
-  bool batching = false;
+  /// Journal every layer to stable storage (ClusterConfig::persistence).
   bool persistence = false;
 
   // ----- workload ------------------------------------------------------------
@@ -163,16 +162,20 @@ struct Scenario {
   sim::Time burst_len = 0;
   double burst_mult = 1.0;
 
-  // ----- topology ------------------------------------------------------------
-  /// WAN regions: process → region (defaults to region 0) and the symmetric
-  /// inter-region one-way latency matrix. Empty matrix = the flat LAN
-  /// default (NetConfig.base_delay).
-  std::vector<std::size_t> region;  // indexed by process id; sized 0 or n
-  std::vector<std::vector<sim::Time>> latency;  // region × region, µs
-
-  /// Steady network anomalies (the scripted windows modulate on top).
-  double drop = 0.0;
-  double duplicate = 0.0;
+  // ----- network -------------------------------------------------------------
+  /// The network the cluster runs on, passed to it as is. Five knobs have
+  /// `.scn` keys: `batching`, the steady anomalies `drop` and `duplicate`
+  /// (the scripted windows modulate on top), and the WAN topology —
+  /// `region` lines fill process_region (sized 0 or n) and `latency` lines
+  /// the symmetric region × region one-way delay matrix region_delay, in µs
+  /// (empty = the flat LAN default, base_delay). Every other knob keeps its
+  /// NetConfig default, except that a duplicated send may carry up to two
+  /// extra copies.
+  net::NetConfig net = [] {
+    net::NetConfig c;
+    c.max_duplicates = 2;
+    return c;
+  }();
 
   // ----- fault script --------------------------------------------------------
   std::vector<FlapSpec> flaps;
@@ -207,7 +210,7 @@ struct Scenario {
 
   /// True iff any fault needs stable storage (rolling restarts, or churn
   /// with restart semantics) — the runner turns persistence on for these
-  /// exactly like ChaosConfig does.
+  /// exactly like the chaos harness does.
   [[nodiscard]] bool needs_persistence() const;
   /// The single crash-vs-restart semantics knob, passed verbatim to
   /// FaultPlan::ScheduleHooks::crashes_restart.
@@ -218,10 +221,6 @@ struct Scenario {
   /// parts (flaps, crash groups, rolling restarts, windows) are
   /// seed-independent; churn events are drawn from Rng(seed ^ salt).
   [[nodiscard]] net::FaultPlan compile_faults(std::uint64_t run_seed) const;
-
-  /// The NetConfig this scenario's topology translates to (WAN matrix,
-  /// steady anomalies, batching).
-  [[nodiscard]] net::NetConfig net_config() const;
 
   /// The effective phase list (the declared phases, or the implicit single
   /// steady phase covering the horizon).

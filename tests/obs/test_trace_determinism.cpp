@@ -15,7 +15,7 @@
 #include "obs/stack_tracer.h"
 #include "obs/trace.h"
 #include "parallel/seed_sweep.h"
-#include "tosys/chaos.h"
+#include "shard/shard_chaos.h"
 #include "tosys/cluster.h"
 
 namespace dvs::obs {
@@ -283,10 +283,10 @@ TEST(TraceDeterminismTest, SpanInvariantsHoldAtQuiescence) {
 
 TEST(TraceDeterminismTest, SweepMetricsAreThreadCountIndependent) {
   shard::ShardChaosConfig chaos;
-  chaos.chaos.plan.horizon = 2 * sim::kSecond;
-  chaos.chaos.plan.events = 8;
-  chaos.chaos.broadcasts = 30;
-  chaos.chaos.settle = 2 * sim::kSecond;
+  chaos.plan.horizon = 2 * sim::kSecond;
+  chaos.plan.events = 8;
+  chaos.broadcasts = 30;
+  chaos.settle = 2 * sim::kSecond;
   parallel::SeedSweepConfig sweep;
   sweep.first_seed = 1;
   sweep.num_seeds = 24;

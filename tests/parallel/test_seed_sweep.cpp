@@ -46,6 +46,12 @@ TEST(SeedSweepTest, ResolveJobs) {
   EXPECT_GE(resolve_jobs(0), 1u);
   EXPECT_EQ(resolve_jobs(1), 1u);
   EXPECT_EQ(resolve_jobs(7), 7u);
+  // Never more workers than tasks, never fewer than one.
+  EXPECT_EQ(resolve_jobs(1'000'000, 3), 3u);
+  EXPECT_EQ(resolve_jobs(2, 3), 2u);
+  EXPECT_EQ(resolve_jobs(4, 0), 1u);
+  EXPECT_GE(resolve_jobs(0, 2), 1u);
+  EXPECT_LE(resolve_jobs(0, 2), 2u);
 }
 
 TEST(SeedSweepTest, AggregateMatchesSequentialLoop) {

@@ -380,9 +380,11 @@ std::size_t seeds_per_n() {
 // evict a live pool member, which would make dynamic mode *correctly*
 // migrate and the byte-compare meaningless. Dup bursts and the steady
 // anomaly rates stay on: they stress delivery, never membership.
-tosys::ChaosConfig stable_pool_chaos(std::size_t n) {
-  tosys::ChaosConfig c;
-  c.n_processes = n;
+shard::ShardChaosConfig stable_pool_chaos(std::size_t n) {
+  shard::ShardChaosConfig c;
+  c.cluster.shards = 2;
+  c.cluster.replication = 2;
+  c.cluster.base.n_processes = n;
   c.plan.horizon = 2 * sim::kSecond;
   c.plan.events = 10;
   c.plan.w_partition = 0.0;
@@ -396,7 +398,7 @@ tosys::ChaosConfig stable_pool_chaos(std::size_t n) {
   c.settle = 1500 * sim::kMillisecond;
   // Both arms journal: dynamic mode requires persistence, and the arms must
   // run the identical stack for the byte-compare to mean anything.
-  c.persistence = true;
+  c.cluster.base.persistence = true;
   return c;
 }
 
@@ -418,13 +420,9 @@ std::string orders_text(
 
 /// Runs one seed with dynamic off and on; returns a diagnosis ("" = inert).
 std::string compare_seed(std::uint64_t seed, std::size_t n) {
-  shard::ShardChaosConfig off;
-  off.shards = 2;
-  off.replication = 2;
-  off.dynamic = false;
-  off.chaos = stable_pool_chaos(n);
+  const shard::ShardChaosConfig off = stable_pool_chaos(n);
   shard::ShardChaosConfig on = off;
-  on.dynamic = true;
+  on.cluster.dynamic = true;
 
   const shard::ShardChaosResult a = run_shard_chaos_seed(seed, off);
   const shard::ShardChaosResult b = run_shard_chaos_seed(seed, on);
@@ -450,8 +448,8 @@ std::string compare_seed(std::uint64_t seed, std::size_t n) {
     return ctx("delivery orders diverge:\nstatic:\n" + orders_text(a.orders) +
                "dynamic:\n" + orders_text(b.orders));
   }
-  const tosys::ChaosStats& sa = a.stats;
-  const tosys::ChaosStats& sb = b.stats;
+  const shard::ChaosStats& sa = a.stats;
+  const shard::ChaosStats& sb = b.stats;
   const auto same = [&sa, &sb](const char* key) {
     return sa.metrics.counter_sum(key) == sb.metrics.counter_sum(key);
   };
@@ -523,7 +521,7 @@ TEST(ReprovisionDifferential, SloReportsAreByteIdentical) {
     sc.horizon = 2 * sim::kSecond;
     sc.warmup = 300 * sim::kMillisecond;
     sc.settle = 1 * sim::kSecond;
-    sc.drop = 0.01;
+    sc.net.drop_probability = 0.01;
     const std::size_t slo_seeds = std::min<std::size_t>(seeds_per_n(), 20);
     for (std::uint64_t seed = 1; seed <= slo_seeds; ++seed) {
       sc.dynamic = false;

@@ -28,19 +28,22 @@ constexpr std::size_t kShards = 3;
 constexpr std::size_t kReplication = 2;
 const ProcessSet kTargets{ProcessId(0), ProcessId(1)};  // shard 1's replicas
 
-tosys::ChaosConfig chaos_config() {
-  tosys::ChaosConfig c;
-  c.n_processes = kPool;
+shard::ShardChaosConfig chaos_config() {
+  shard::ShardChaosConfig c;
+  c.cluster.shards = kShards;
+  c.cluster.replication = kReplication;
+  c.cluster.base.n_processes = kPool;
   c.plan.horizon = 3 * sim::kSecond;
   c.broadcasts = 45;  // 15 per shard
   c.settle = 2 * sim::kSecond;
+  c.fault_targets = kTargets;
   return c;
 }
 
 /// Replays run_shard_chaos_seed's load draws (same salt, same sequence) to
 /// predict which uids were injected into shard k.
 std::set<std::uint64_t> uids_for_shard(std::uint64_t seed,
-                                       const tosys::ChaosConfig& c,
+                                       const shard::ShardChaosConfig& c,
                                        std::uint32_t k) {
   Rng load(seed ^ 0xb0adca5700150adULL);
   std::set<std::uint64_t> uids;
@@ -67,11 +70,7 @@ TEST(ShardIsolation, TargetedChaosLeavesDisjointShardComplete) {
   // disjoint from the targets — must deliver its entire load in the same
   // total order at both replicas despite sharing the wire with the chaos.
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    shard::ShardChaosConfig config;
-    config.shards = kShards;
-    config.replication = kReplication;
-    config.chaos = chaos_config();
-    config.fault_targets = kTargets;
+    const shard::ShardChaosConfig config = chaos_config();
 
     const shard::ShardChaosResult r = shard::run_shard_chaos_seed(seed, config);
     ASSERT_TRUE(r.ok) << r.failure << "\nplan:\n" << r.plan_text;
@@ -83,7 +82,7 @@ TEST(ShardIsolation, TargetedChaosLeavesDisjointShardComplete) {
     EXPECT_EQ(shard3[0], shard3[1])
         << "seed " << seed << ": shard 3 replicas disagree on total order";
     const std::set<std::uint64_t> got(shard3[0].begin(), shard3[0].end());
-    EXPECT_EQ(got, uids_for_shard(seed, config.chaos, 3))
+    EXPECT_EQ(got, uids_for_shard(seed, config, 3))
         << "seed " << seed << ": shard 3 lost or invented broadcasts";
     EXPECT_EQ(shard3[0].size(), got.size())
         << "seed " << seed << ": shard 3 delivered a uid twice";

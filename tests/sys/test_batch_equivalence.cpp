@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "parallel/seed_sweep.h"
-#include "tosys/chaos.h"
+#include "shard/shard_chaos.h"
 #include "tosys/cluster.h"
 
 namespace dvs::tosys {
@@ -82,10 +82,10 @@ TEST(BatchEquivalenceTest, ForcedOrderDeliveriesAreIdentical) {
 
 /// Short-horizon chaos config sized so 200 seeds stay fast enough for the
 /// sanitizer gates (mirrors the --smoke sweep shape).
-ChaosConfig quick_chaos(std::size_t n, bool batching) {
-  ChaosConfig chaos;
-  chaos.n_processes = n;
-  chaos.batching = batching;
+shard::ShardChaosConfig quick_chaos(std::size_t n, bool batching) {
+  shard::ShardChaosConfig chaos;
+  chaos.cluster.base.n_processes = n;
+  chaos.cluster.base.net.batching = batching;
   chaos.plan.horizon = 2 * sim::kSecond;
   chaos.plan.events = 8;
   chaos.broadcasts = 40;
@@ -100,8 +100,7 @@ parallel::ChaosSweepResult sweep(std::size_t n, bool batching,
   cfg.first_seed = 1;
   cfg.num_seeds = num_seeds;
   cfg.jobs = jobs;
-  return parallel::run_chaos_sweep(
-      cfg, shard::ShardChaosConfig{.chaos = quick_chaos(n, batching)});
+  return parallel::run_chaos_sweep(cfg, quick_chaos(n, batching));
 }
 
 void expect_identical_verdicts(std::size_t n) {
@@ -153,16 +152,16 @@ TEST(BatchEquivalenceTest, BatchingDoesNotBlindTheOracle) {
   // Re-inject the paper's Figure 5 errata with batching on: the oracle must
   // still reject — a transport change that masked spec violations would be
   // worse than no batching at all.
-  ChaosConfig chaos = quick_chaos(3, true);
-  chaos.initial_members = 2;
+  shard::ShardChaosConfig chaos = quick_chaos(3, true);
+  chaos.cluster.base.initial_members = 2;
   chaos.broadcasts = 200;
-  chaos.to_options.printed_figure_mode = true;
+  chaos.cluster.base.to_options.printed_figure_mode = true;
   parallel::SeedSweepConfig cfg;
   cfg.first_seed = 1;
   cfg.num_seeds = 60;
   cfg.jobs = 4;
   const parallel::ChaosSweepResult r =
-      parallel::run_chaos_sweep(cfg, shard::ShardChaosConfig{.chaos = chaos});
+      parallel::run_chaos_sweep(cfg, chaos);
   EXPECT_GT(r.seeds_failed, 0u);
   ASSERT_TRUE(r.first_failure.has_value());
   EXPECT_NE(r.first_failure->message.find("chaos seed"), std::string::npos);

@@ -8,20 +8,22 @@
 // counterexamples reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "parallel/seed_sweep.h"
-#include "tosys/chaos.h"
+#include "shard/shard_chaos.h"
 
 namespace dvs::tosys {
 namespace {
 
 /// Short-horizon chaos shape so a few hundred seeds stay test-suite fast;
-/// every anomaly class is still armed (ChaosConfig defaults keep steady
-/// dup/reorder/truncate/drop rates on top of the scripted plan).
-ChaosConfig quick_chaos(std::size_t n) {
-  ChaosConfig c;
-  c.n_processes = n;
+/// every anomaly class is still armed (ShardChaosConfig's default network
+/// keeps steady dup/reorder/truncate/drop rates on top of the scripted
+/// plan).
+shard::ShardChaosConfig quick_chaos(std::size_t n) {
+  shard::ShardChaosConfig c;
+  c.cluster.base.n_processes = n;
   c.plan.horizon = 2 * sim::kSecond;
   c.plan.events = 8;
   c.broadcasts = 40;
@@ -29,15 +31,13 @@ ChaosConfig quick_chaos(std::size_t n) {
   return c;
 }
 
-parallel::ChaosSweepResult sweep(const ChaosConfig& chaos,
-                                 std::uint64_t num_seeds, std::size_t jobs,
-                                 std::size_t shards = 1) {
+parallel::ChaosSweepResult sweep(const shard::ShardChaosConfig& chaos,
+                                 std::uint64_t num_seeds, std::size_t jobs) {
   parallel::SeedSweepConfig config;
   config.first_seed = 1;
   config.num_seeds = num_seeds;
   config.jobs = jobs;
-  return parallel::run_chaos_sweep(
-      config, shard::ShardChaosConfig{.shards = shards, .chaos = chaos});
+  return parallel::run_chaos_sweep(config, chaos);
 }
 
 TEST(ChaosConformanceTest, SweepsAcceptAtEveryScale) {
@@ -68,8 +68,8 @@ TEST(ChaosConformanceTest, LateJoinerSweepAccepts) {
   // One process outside v0: its client broadcasts queue until it joins.
   // The corrected automata deliver each exactly once; this is the
   // configuration whose printed-figure counterpart must fail below.
-  ChaosConfig chaos = quick_chaos(3);
-  chaos.initial_members = 2;
+  shard::ShardChaosConfig chaos = quick_chaos(3);
+  chaos.cluster.base.initial_members = 2;
   chaos.broadcasts = 120;
   const auto r = sweep(chaos, 60, 0);
   ASSERT_FALSE(r.first_failure.has_value()) << r.first_failure->message;
@@ -77,7 +77,7 @@ TEST(ChaosConformanceTest, LateJoinerSweepAccepts) {
 }
 
 TEST(ChaosConformanceTest, TotalsAreThreadCountIndependent) {
-  const ChaosConfig chaos = quick_chaos(3);
+  const shard::ShardChaosConfig chaos = quick_chaos(3);
   const auto serial = sweep(chaos, 40, 1);
   const auto fanned = sweep(chaos, 40, 4);
   ASSERT_FALSE(serial.first_failure.has_value());
@@ -91,10 +91,10 @@ TEST(ChaosConformanceTest, PrintedFigureErratumIsRejectedDeterministically) {
   // the same late-joiner configuration. The ToAcceptor must reject, and
   // the lowest failing seed and its full failure account must be identical
   // whether the sweep ran on one worker or four.
-  ChaosConfig chaos = quick_chaos(3);
-  chaos.initial_members = 2;
+  shard::ShardChaosConfig chaos = quick_chaos(3);
+  chaos.cluster.base.initial_members = 2;
   chaos.broadcasts = 120;
-  chaos.to_options.printed_figure_mode = true;
+  chaos.cluster.base.to_options.printed_figure_mode = true;
 
   const auto serial = sweep(chaos, 20, 1);
   const auto fanned = sweep(chaos, 20, 4);
@@ -112,24 +112,42 @@ TEST(ChaosConformanceTest, PrintedFigureErratumIsRejectedDeterministically) {
 
   // The counterexample replays: the same seed fails identically solo.
   try {
-    (void)shard::run_chaos_seed(serial.first_failure->seed,
-                                shard::ShardChaosConfig{.chaos = chaos});
+    (void)shard::run_chaos_seed(serial.first_failure->seed, chaos);
     FAIL() << "replay of the failing seed passed";
-  } catch (const ChaosFailure& e) {
+  } catch (const shard::ChaosFailure& e) {
     EXPECT_EQ(e.seed(), serial.first_failure->seed);
     EXPECT_EQ(std::string(e.what()), msg);
   }
+}
+
+TEST(ChaosConformanceTest, InvalidConfigIsAHarnessErrorBeforeAnySeedRuns) {
+  // An empty pool, replication beyond the pool and more initial members
+  // than the pool holds are refused before the sweep starts, so they can
+  // never surface as a counterexample (or pass the erratum self-test).
+  shard::ShardChaosConfig empty = quick_chaos(0);
+  shard::ShardChaosConfig over_replicated = quick_chaos(3);
+  over_replicated.cluster.shards = 2;
+  over_replicated.cluster.replication = 9;
+  shard::ShardChaosConfig over_initial = quick_chaos(3);
+  over_initial.cluster.base.initial_members = 4;
+  for (const shard::ShardChaosConfig* c :
+       {&empty, &over_replicated, &over_initial}) {
+    EXPECT_THROW(shard::validate(*c), std::logic_error);
+    EXPECT_THROW((void)sweep(*c, 2, 1), std::logic_error);
+  }
+  EXPECT_NO_THROW(shard::validate(quick_chaos(3)));
 }
 
 TEST(ChaosConformanceTest, ErratumIsRejectedAtTwoShards) {
   // The erratum sweep through a two-shard pool (every pool member hosts
   // both columns, one late joiner in each): the flags reach every column's
   // automaton, and the oracle's rejection names its shard.
-  ChaosConfig chaos = quick_chaos(3);
-  chaos.initial_members = 2;
+  shard::ShardChaosConfig chaos = quick_chaos(3);
+  chaos.cluster.base.initial_members = 2;
   chaos.broadcasts = 120;
-  chaos.to_options.printed_figure_mode = true;
-  const auto r = sweep(chaos, 20, 0, /*shards=*/2);
+  chaos.cluster.base.to_options.printed_figure_mode = true;
+  chaos.cluster.shards = 2;
+  const auto r = sweep(chaos, 20, 0);
   ASSERT_TRUE(r.first_failure.has_value())
       << "the printed Figure 5 behaviour went undetected at K=2";
   EXPECT_NE(r.first_failure->message.find("): shard "), std::string::npos)

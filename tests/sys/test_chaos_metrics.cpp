@@ -12,7 +12,7 @@
 #include <string>
 
 #include "parallel/seed_sweep.h"
-#include "tosys/chaos.h"
+#include "shard/shard_chaos.h"
 
 namespace dvs::tosys {
 namespace {
@@ -23,9 +23,9 @@ std::uint64_t hist_count(const obs::MetricsSnapshot& m,
   return it == m.histograms.end() ? 0 : it->second.count;
 }
 
-ChaosConfig quick_chaos(std::size_t n) {
-  ChaosConfig c;
-  c.n_processes = n;
+shard::ShardChaosConfig quick_chaos(std::size_t n) {
+  shard::ShardChaosConfig c;
+  c.cluster.base.n_processes = n;
   c.plan.horizon = 2 * sim::kSecond;
   c.plan.events = 8;
   c.broadcasts = 40;
@@ -36,7 +36,8 @@ ChaosConfig quick_chaos(std::size_t n) {
 /// The relations every conforming seed must satisfy, stated against the
 /// seed's own metric snapshot (one export path: the same counters the
 /// chaos report and --metrics JSON aggregate).
-void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
+void assert_sane(std::size_t n, std::uint64_t seed,
+                 const shard::ChaosStats& s) {
   const obs::MetricsSnapshot& m = s.metrics;
   // Network conservation: every delivery traces back to a send or an
   // injected duplicate copy.
@@ -78,7 +79,7 @@ void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
             static_cast<std::uint64_t>(n) * m.counter_sum("to.bcasts"))
       << "n=" << n << " seed=" << seed;
   // Without restarts, the TO delivery counter agrees with the
-  // delivery-log count ChaosStats keeps.
+  // delivery-log count shard::ChaosStats keeps.
   EXPECT_EQ(m.counter_sum("to.deliveries"), s.deliveries);
   // Span invariants at quiescence: every view change resolved, every
   // delivery inside a client-view tenure, registrations never overlapping.
@@ -103,12 +104,11 @@ void assert_sane(std::size_t n, std::uint64_t seed, const ChaosStats& s) {
 TEST(ChaosMetricsTest, SanityRelationsHoldPerSeedAcrossScales) {
   std::size_t total_seeds = 0;
   for (const std::size_t n : {2u, 3u, 4u}) {
-    const ChaosConfig chaos = quick_chaos(n);
+    const shard::ShardChaosConfig chaos = quick_chaos(n);
     const std::uint64_t seeds = n == 4 ? 60 : 80;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      ChaosStats s;
-      ASSERT_NO_THROW(s = shard::run_chaos_seed(
-                          seed, shard::ShardChaosConfig{.chaos = chaos}))
+      shard::ChaosStats s;
+      ASSERT_NO_THROW(s = shard::run_chaos_seed(seed, chaos))
           << "n=" << n << " seed=" << seed;
       assert_sane(n, seed, s);
       ++total_seeds;
@@ -124,13 +124,12 @@ TEST(ChaosMetricsTest, SanityRelationsHoldPerSeedAcrossScales) {
 TEST(ChaosMetricsTest, SweepTotalsSatisfyTheSameRelations) {
   // Relations of the per-seed snapshots are preserved by the seed-order
   // merge: the sweep total is just the key-wise sum.
-  const ChaosConfig chaos = quick_chaos(3);
+  const shard::ShardChaosConfig chaos = quick_chaos(3);
   parallel::SeedSweepConfig sweep;
   sweep.first_seed = 1;
   sweep.num_seeds = 40;
   sweep.jobs = 0;
-  const auto r = parallel::run_chaos_sweep(
-      sweep, shard::ShardChaosConfig{.chaos = chaos});
+  const auto r = parallel::run_chaos_sweep(sweep, chaos);
   ASSERT_FALSE(r.first_failure.has_value()) << r.first_failure->message;
   assert_sane(3, 0, r.total);
   // The latency histograms actually accumulated across the sweep.

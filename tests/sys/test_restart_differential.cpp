@@ -2,10 +2,10 @@
 // pass every oracle under both crash semantics.
 //
 // A plan's kCrash is *pause* semantics (node silent, volatile state
-// intact). With ChaosConfig.crashes_restart the identical plan re-runs with
-// each kCrash upgraded to a genuine crash-restart: volatile state wiped at
-// the crash instant, the stack rebuilt from its write-ahead journals, the
-// node silent until the paired kRecover. Scripted kRestart events
+// intact). With ShardChaosConfig.crashes_restart the identical plan re-runs
+// with each kCrash upgraded to a genuine crash-restart: volatile state
+// wiped at the crash instant, the stack rebuilt from its write-ahead
+// journals, the node silent until the paired kRecover. Scripted kRestart events
 // (plan.w_restart) add instant restart-and-resume on top. Every arm keeps
 // the online spec acceptors and Invariants 4.1/4.2 clean across n ∈
 // {2,3,4} and hundreds of seeds, and the restart arm's sweep totals are
@@ -13,14 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "parallel/seed_sweep.h"
-#include "tosys/chaos.h"
+#include "shard/shard_chaos.h"
 
 namespace dvs::tosys {
 namespace {
 
-ChaosConfig quick_chaos(std::size_t n) {
-  ChaosConfig c;
-  c.n_processes = n;
+shard::ShardChaosConfig quick_chaos(std::size_t n) {
+  shard::ShardChaosConfig c;
+  c.cluster.base.n_processes = n;
   c.plan.horizon = 2 * sim::kSecond;
   c.plan.events = 8;
   c.broadcasts = 40;
@@ -28,14 +28,13 @@ ChaosConfig quick_chaos(std::size_t n) {
   return c;
 }
 
-parallel::ChaosSweepResult sweep(const ChaosConfig& chaos,
+parallel::ChaosSweepResult sweep(const shard::ShardChaosConfig& chaos,
                                  std::uint64_t num_seeds, std::size_t jobs) {
   parallel::SeedSweepConfig config;
   config.first_seed = 1;
   config.num_seeds = num_seeds;
   config.jobs = jobs;
-  return parallel::run_chaos_sweep(config,
-                                   shard::ShardChaosConfig{.chaos = chaos});
+  return parallel::run_chaos_sweep(config, chaos);
 }
 
 TEST(RestartDifferentialTest, SameSeedsConformUnderBothCrashSemantics) {
@@ -43,15 +42,15 @@ TEST(RestartDifferentialTest, SameSeedsConformUnderBothCrashSemantics) {
   // FaultPlan per seed — the only difference is what a kCrash does.
   std::size_t total_seeds = 0;
   for (const std::size_t n : {2u, 3u, 4u}) {
-    ChaosConfig pause_arm = quick_chaos(n);
-    pause_arm.persistence = true;  // journaling on, restarts off
+    shard::ShardChaosConfig pause_arm = quick_chaos(n);
+    pause_arm.cluster.base.persistence = true;  // journaling on, restarts off
     const auto paused = sweep(pause_arm, 35, 0);
     ASSERT_FALSE(paused.first_failure.has_value())
         << "pause arm n=" << n << ":\n" << paused.first_failure->message;
     EXPECT_EQ(paused.total.restarts, 0u) << n;
     EXPECT_GT(paused.total.metrics.counter_sum("storage.appends"), 0u) << n;
 
-    ChaosConfig restart_arm = quick_chaos(n);
+    shard::ShardChaosConfig restart_arm = quick_chaos(n);
     restart_arm.crashes_restart = true;
     const auto restarted = sweep(restart_arm, 35, 0);
     ASSERT_FALSE(restarted.first_failure.has_value())
@@ -74,9 +73,9 @@ TEST(RestartDifferentialTest, JournalingAloneDoesNotPerturbTheRun) {
   // must behave event-for-event as without it (journal appends schedule
   // nothing and consume no randomness). Any drift here means durability
   // changed behaviour, not just recorded it.
-  const ChaosConfig plain = quick_chaos(3);
-  ChaosConfig journaled = quick_chaos(3);
-  journaled.persistence = true;
+  const shard::ShardChaosConfig plain = quick_chaos(3);
+  shard::ShardChaosConfig journaled = quick_chaos(3);
+  journaled.cluster.base.persistence = true;
   const auto a = sweep(plain, 20, 0);
   const auto b = sweep(journaled, 20, 0);
   ASSERT_FALSE(a.first_failure.has_value());
@@ -96,7 +95,7 @@ TEST(RestartDifferentialTest, JournalingAloneDoesNotPerturbTheRun) {
 TEST(RestartDifferentialTest, ScriptedRestartEventsConform) {
   // kRestart as a first-class plan event: instant teardown, rebuild from
   // the store, immediately reachable (no paired kRecover).
-  ChaosConfig chaos = quick_chaos(3);
+  shard::ShardChaosConfig chaos = quick_chaos(3);
   chaos.plan.w_restart = 0.3;
   const auto r = sweep(chaos, 30, 0);
   ASSERT_FALSE(r.first_failure.has_value()) << r.first_failure->message;
@@ -109,7 +108,7 @@ TEST(RestartDifferentialTest, RestartTotalsAreThreadCountIndependent) {
   // The restart adversary keeps the chaos report byte-identical across
   // --jobs: every field of the merged ChaosStats including the full metric
   // export (storage.* counters, recovery-latency histograms).
-  ChaosConfig chaos = quick_chaos(3);
+  shard::ShardChaosConfig chaos = quick_chaos(3);
   chaos.crashes_restart = true;
   chaos.plan.w_restart = 0.2;
   const auto serial = sweep(chaos, 30, 1);

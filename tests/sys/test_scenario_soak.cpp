@@ -66,16 +66,16 @@ TEST(ScenarioSoak, ChurnPlusWanHolds50kTicksWithinDeclaredSlos) {
   s.mix.writes = 2;
   s.mix.scans = 2;
   // Two regions, 25ms one-way between them, mild steady loss.
-  s.region = {0, 0, 1, 1};
-  s.latency = {{1 * sim::kMillisecond, 25 * sim::kMillisecond},
-               {25 * sim::kMillisecond, 1 * sim::kMillisecond}};
-  s.drop = 0.005;
+  s.net.process_region = {0, 0, 1, 1};
+  s.net.region_delay = {{1 * sim::kMillisecond, 25 * sim::kMillisecond},
+                        {25 * sim::kMillisecond, 1 * sim::kMillisecond}};
+  s.net.drop_probability = 0.005;
   // Scripted faults early enough to fit every scale: three 1s flaps of the
   // remote replica and one lossy window.
   s.flaps = {FlapSpec{ProcessId{3}, 10 * sim::kSecond, 20 * sim::kSecond,
                       1 * sim::kSecond, 3}};
   s.drop_windows = {WindowSpec{15 * sim::kSecond, 2 * sim::kSecond, 0.2}};
-  // Churn with ChaosConfig's restart semantics: ~0.05 crash/recover pairs
+  // Churn with the chaos harness's restart semantics: ~0.05 crash/recover pairs
   // per second (≈50 genuine crash-restart cycles per seed over the full
   // horizon), outages of 1-4s, volatile state wiped and rebuilt from the
   // WAL at each crash. Every restart triggers a full-summary state

@@ -5,7 +5,7 @@
 //     vocabulary — differential test against a hand-built plan (no second
 //     fault language, docs/VERIFICATION.md);
 //   * churn is a deterministic per-seed kCrash/kRecover stream under
-//     ChaosConfig's pause-vs-restart semantics knob;
+//     the chaos harness's pause-vs-restart semantics knob;
 //   * golden SLO reports: fixed scenario × seed range → byte-identical
 //     JSON across repeated runs and across --jobs 1 vs --jobs 4.
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ Scenario full_scenario() {
   s.heartbeat_ms = 40;
   s.suspect_ms = 200;
   s.propose_ms = 500;
-  s.batching = true;
+  s.net.batching = true;
   s.persistence = true;
   s.clients = 6;
   s.closed_loop = false;
@@ -61,11 +61,11 @@ Scenario full_scenario() {
   s.burst_period = 1 * sim::kSecond;
   s.burst_len = 200 * sim::kMillisecond;
   s.burst_mult = 2.5;
-  s.region = {0, 0, 1, 1};
-  s.latency = {{1 * sim::kMillisecond, 25 * sim::kMillisecond},
-               {25 * sim::kMillisecond, 1 * sim::kMillisecond}};
-  s.drop = 0.01;
-  s.duplicate = 0.005;
+  s.net.process_region = {0, 0, 1, 1};
+  s.net.region_delay = {{1 * sim::kMillisecond, 25 * sim::kMillisecond},
+                        {25 * sim::kMillisecond, 1 * sim::kMillisecond}};
+  s.net.drop_probability = 0.01;
+  s.net.duplicate_probability = 0.005;
   s.flaps = {FlapSpec{ProcessId{2}, 1 * sim::kSecond, 2 * sim::kSecond,
                       300 * sim::kMillisecond, 2}};
   s.crash_groups = {CrashGroupSpec{
@@ -132,6 +132,22 @@ TEST(ScenarioFormat, RejectsMalformedInputWithTheOffendingLine) {
   reject("region 0 0\nregion 1 0\nregion 2 0\n", "latency");
   reject("crash_group 1000 500 0,1,2\n", "at least one process alive");
   reject("flap 9 1000 2000 300 1\n", "outside universe");
+  // Ids past the universe are refused where they are read: no wrap to an
+  // in-range id, no truncation to ProcessId's 32 bits, no allocation sized
+  // by the id.
+  reject("region 18446744073709551615 0\n",
+         "(region 18446744073709551615 0): process outside 0..n-1");
+  reject("region 3 0\n", "(region 3 0): process outside 0..n-1");
+  reject("region 1000000000 0\n", "(region 1000000000 0)");
+  reject("latency 0 18446744073709551615 5\n",
+         "(latency 0 18446744073709551615 5): region outside 0..n-1");
+  reject("latency 1000000 0 5\n", "(latency 1000000 0 5)");
+  reject("flap 4294967296 1000 2000 100 1\n",
+         "(flap 4294967296 1000 2000 100 1): process id 4294967296 out of "
+         "range");
+  reject("crash_group 1000 500 0,4294967297\n",
+         "(crash_group 1000 500 0,4294967297): process id 4294967297 out of "
+         "range");
   reject("churn 0.5 restart 800 400\n", "down_min > down_max");
   reject("churn 0.5 sometimes 400 800\n", "pause|restart");
   reject("slo_availability_ppm 2000000\n", "<= 1000000");
@@ -275,7 +291,7 @@ TEST(ScenarioFaults, ChurnIsASeededCrashRecoverStream) {
     EXPECT_LE(down_now, static_cast<int>(s.n) - 1) << "everyone dark at " << at;
   }
 
-  // `churn ... restart` is the single ChaosConfig-style semantics knob.
+  // `churn ... restart` is the chaos harness's single semantics knob.
   EXPECT_TRUE(s.crashes_restart());
   EXPECT_TRUE(s.needs_persistence());
   Scenario pausey = s;
