@@ -319,10 +319,15 @@ std::uint64_t bench_monotonic_us() {
 struct UdpLoopbackStack {
   sim::Simulator sim;
   std::vector<std::unique_ptr<net::UdpTransport>> nets;
+  std::vector<std::unique_ptr<storage::FileStableStore>> stores;
   std::vector<std::unique_ptr<daemon::NodeRuntime>> nodes;
   std::uint64_t start_us = 0;
 
-  explicit UdpLoopbackStack(std::size_t n) {
+  /// A non-empty `store_root` gives every node a FileStableStore under
+  /// store_root/pN, synced where dvsd syncs: after the protocol step,
+  /// before the datagrams leave.
+  explicit UdpLoopbackStack(std::size_t n, const std::string& store_root = "") {
+    if (!store_root.empty()) std::filesystem::remove_all(store_root);
     for (std::size_t i = 0; i < n; ++i) {
       net::UdpConfig cfg;
       cfg.self = ProcessId{static_cast<std::uint32_t>(i)};
@@ -338,10 +343,14 @@ struct UdpLoopbackStack {
     }
     start_us = bench_monotonic_us();
     for (std::size_t i = 0; i < n; ++i) {
+      if (!store_root.empty()) {
+        stores.push_back(std::make_unique<storage::FileStableStore>(
+            store_root + "/p" + std::to_string(i)));
+      }
       nodes.push_back(std::make_unique<daemon::NodeRuntime>(
           ProcessId{static_cast<std::uint32_t>(i)}, n, n, *nets[i], sim,
-          daemon::RuntimeOptions{}, nullptr, nullptr,
-          [this] { return bench_monotonic_us() - start_us; }));
+          daemon::RuntimeOptions{}, stores.empty() ? nullptr : stores[i].get(),
+          nullptr, [this] { return bench_monotonic_us() - start_us; }));
     }
     for (auto& rt : nodes) rt->start();
   }
@@ -349,6 +358,7 @@ struct UdpLoopbackStack {
   /// One event-loop step for every node (busy loop — latency benchmark).
   void step() {
     sim.run_until(bench_monotonic_us() - start_us);
+    for (auto& s : stores) s->sync();
     for (auto& t : nets) t->flush();
     for (auto& t : nets) t->drain();
   }
@@ -539,13 +549,20 @@ void BM_UdpLoopbackBurst(benchmark::State& state) {
   // Throughput axis: 50 pipelined puts round-robin across members, timed
   // until every replica applied all of them. Batching coalesces the burst
   // into few datagrams; items/s is replicated commands per wall second.
+  // The second axis gives each replica dvsd's journal (a FileStableStore,
+  // one write per store per loop step), so the pair prices the store.
   if (bench_no_net()) {
     state.SkipWithError("DVS_NO_NET=1");
     return;
   }
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool file_backed = state.range(1) != 0;
   constexpr std::uint64_t kBurst = 50;
-  UdpLoopbackStack stack(n);
+  UdpLoopbackStack stack(
+      n, file_backed ? (std::filesystem::temp_directory_path() /
+                        "dvs_bench_udp_store")
+                           .string()
+                     : "");
   if (!stack.run_until(
           [&] {
             for (const auto& rt : stack.nodes) {
@@ -574,9 +591,10 @@ void BM_UdpLoopbackBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBurst));
   state.SetLabel("udp loopback, " + std::to_string(kBurst) +
-                 " cmds/burst, n=" + std::to_string(n));
+                 " cmds/burst, n=" + std::to_string(n) +
+                 (file_backed ? ", file store" : ", no store"));
 }
-BENCHMARK(BM_UdpLoopbackBurst)->Arg(3)->UseRealTime();
+BENCHMARK(BM_UdpLoopbackBurst)->Args({3, 0})->Args({3, 1})->UseRealTime();
 
 }  // namespace
 

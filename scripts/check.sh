@@ -62,10 +62,12 @@ ctest --test-dir build-asan -L batch --output-on-failure
 
 echo "== recovery gate (ASan) =="
 # Crash-restart persistence under ASan: the WAL corruption fuzz (bit flips,
-# truncation at every byte, duplicated records) and the crash-point sweep
-# (a restart injected at every persistence barrier) are exactly where a
-# framing bounds mistake or a teardown use-after-free would hide.
-ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ToJournalTest|ExchangeJournalTest|CrashPointSweepTest' \
+# truncation at every byte, duplicated records), the one-file journal's
+# crash-prefix sweeps (WalFuzzTest.Journal*, StableStoreTest.FileStore*),
+# dvsd's write-before-send order and the crash-point sweep (a restart
+# injected at every persistence barrier) are exactly where a framing bounds
+# mistake or a teardown use-after-free would hide.
+ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ToJournalTest|ExchangeJournalTest|CrashPointSweepTest|DvsdWakeOrderTest' \
   --output-on-failure
 # Chaos conformance smoke with the restart adversary: kCrash upgraded to
 # genuine crash-restart plus scripted kRestart events, oracles online.

@@ -158,24 +158,32 @@ void Daemon::build_columns() {
     // its commit marker finishes here — journals installed, the slot
     // adopted durably, the column opened with its HANDOFF — and only then
     // is the marker cleared, so a crash anywhere in between re-runs it.
+    // The episode runs on the same store object the column then owns: a
+    // second object over the directory would buffer its own records and
+    // could hide the other's.
+    std::unique_ptr<storage::FileStableStore> gstore;
     std::error_code ec;
     if (config_.dynamic &&
         std::filesystem::is_directory(column_wal_dir(a.group), ec)) {
-      storage::FileStableStore gstore(column_wal_dir(a.group));
+      gstore =
+          std::make_unique<storage::FileStableStore>(column_wal_dir(a.group));
+      storage::FileStableStore* store = gstore.get();
       for (std::size_t i = 0; i < a.replicas.size(); ++i) {
         shard::EpisodeHooks hooks;
-        hooks.cutover = [this, &a, i](const shard::MigrationMarker& m) {
+        hooks.cutover = [this, &a, &gstore, i](const shard::MigrationMarker& m) {
           a.replicas[i] = m.to;
           persist_assignments();
-          open_column(a, m.next);
+          open_column(a, m.next, std::move(gstore));
         };
         (void)shard::recover_episode(
-            gstore, ProcessId(static_cast<std::uint32_t>(i)), hooks);
+            *store, ProcessId(static_cast<std::uint32_t>(i)), hooks);
       }
     }
     const bool hosted = std::find(a.replicas.begin(), a.replicas.end(),
                                   config_.node) != a.replicas.end();
-    if (hosted && column_for(a.group) == nullptr) open_column(a, 0);
+    if (hosted && column_for(a.group) == nullptr) {
+      open_column(a, 0, std::move(gstore));
+    }
   }
   router_ = shard::ShardRouter(config_.shards);
   router_.set_assignments(assignments_);
@@ -206,8 +214,9 @@ std::string Daemon::column_wal_dir(std::uint32_t group) const {
   return config_.wal_dir + "/g" + std::to_string(group);
 }
 
-Daemon::Column& Daemon::open_column(const shard::ShardAssignment& a,
-                                    std::uint64_t handoff_next) {
+Daemon::Column& Daemon::open_column(
+    const shard::ShardAssignment& a, std::uint64_t handoff_next,
+    std::unique_ptr<storage::FileStableStore> store) {
   auto col = std::make_unique<Column>();
   col->group = a.group;
   ProcessId local = config_.node;
@@ -220,7 +229,9 @@ Daemon::Column& Daemon::open_column(const shard::ShardAssignment& a,
     net = col->port;
     n = initial = a.replicas.size();
   }
-  if (!config_.wal_dir.empty()) {
+  if (store != nullptr) {
+    col->store = std::move(store);
+  } else if (!config_.wal_dir.empty()) {
     col->store =
         std::make_unique<storage::FileStableStore>(column_wal_dir(a.group));
   }
@@ -385,14 +396,17 @@ void Daemon::finish_join(std::uint32_t group, const Bytes& encoded) {
   // assignments commit (this group's row is no longer masked), and the
   // column opens over the installed journals — the recovering runtime
   // records CRASH and rebuilds the KV state, open_column the HANDOFF.
-  storage::FileStableStore store(column_wal_dir(group));
+  // The column then owns the very store object the episode wrote through.
+  auto owned = std::make_unique<storage::FileStableStore>(column_wal_dir(group));
+  storage::FileStableStore* store = owned.get();
   shard::EpisodeHooks hooks;
-  hooks.cutover = [this, group](const shard::MigrationMarker& m) {
+  hooks.cutover = [this, group, &owned](const shard::MigrationMarker& m) {
     joins_.erase(group);
     persist_assignments();
-    open_column(assignments_[group - 1], m.next).runtime->start();
+    open_column(assignments_[group - 1], m.next, std::move(owned))
+        .runtime->start();
   };
-  shard::run_episode(store, slot, config_.node, snap, hooks);
+  shard::run_episode(*store, slot, config_.node, snap, hooks);
 }
 
 void Daemon::teardown_column(std::uint32_t group) {
@@ -443,8 +457,9 @@ int Daemon::run(const volatile std::sig_atomic_t* stop) {
   if (pool_vs_ != nullptr) pool_vs_->start();
   epoll_event events[8];
   while (!quit_ && (stop == nullptr || *stop == 0)) {
-    // Fire every timer due by now; the callbacks may send.
+    // Fire every timer due by now; the callbacks may journal and send.
     sim_.run_until(elapsed_us());
+    sync_outputs();
     transport_->flush();
     // Sleep until the next timer or the next datagram, whichever first.
     // The 50ms cap bounds the reaction time to signals.
@@ -470,13 +485,33 @@ int Daemon::run(const volatile std::sig_atomic_t* stop) {
         handle_control();
       }
     }
+    sync_outputs();
     transport_->flush();
   }
+  sync_outputs();
   transport_->flush();
   return 0;
 }
 
+void Daemon::sync_outputs() {
+  for (const std::unique_ptr<Column>& c : columns_) {
+    if (c->store != nullptr) c->store->sync();
+  }
+  if (pool_store_ != nullptr) pool_store_->sync();
+  for (const std::unique_ptr<Column>& c : columns_) {
+    if (c->sink != nullptr) c->sink->sync();
+  }
+}
+
 void Daemon::handle_control() {
+  // Every queued command runs first; the replies leave together after one
+  // sync, so a reply never precedes the records its command produced.
+  struct Reply {
+    sockaddr_in to{};
+    socklen_t to_len = 0;
+    std::string text;
+  };
+  std::vector<Reply> replies;
   char buf[4096];
   for (;;) {
     sockaddr_in src{};
@@ -494,9 +529,12 @@ void Daemon::handle_control() {
             command.back() == ' ')) {
       command.pop_back();
     }
-    const std::string reply = execute(command);
-    (void)::sendto(ctl_fd_, reply.data(), reply.size(), 0,
-                   reinterpret_cast<const sockaddr*>(&src), src_len);
+    replies.push_back(Reply{src, src_len, execute(command)});
+  }
+  sync_outputs();
+  for (const Reply& r : replies) {
+    (void)::sendto(ctl_fd_, r.text.data(), r.text.size(), 0,
+                   reinterpret_cast<const sockaddr*>(&r.to), r.to_len);
   }
 }
 

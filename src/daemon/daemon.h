@@ -34,11 +34,20 @@
 //                           shard plus "migrations=<n>" (dynamic mode)
 //   quit                 -> replies "ok", exits the loop gracefully
 //
+// Durable output reaches the kernel once per wake. Journal records (one
+// FileStableStore per column directory, plus the pool's) and trace records
+// collect in memory while the protocol runs; sync_outputs() writes each
+// store and each trace sink with one write() before anything of that wake
+// leaves the process — before transport_->flush() sends its datagrams and
+// before the control socket sends its replies. That is the journal-before-
+// act order docs/RECOVERY.md relies on: a peer or client can only have
+// seen effects whose records are already in the page cache.
+//
 // Shutdown: `quit`, SIGTERM or SIGINT end the loop after the current
-// iteration; traces and WALs are already on the kernel side at every
-// point (the sink flushes per record), so SIGKILL loses at most the one
-// record being written — which the CRC framing turns into a clean torn
-// tail for the next incarnation and the auditor.
+// iteration, and the loop syncs before it returns. SIGKILL loses at most
+// the records of the wake in progress, none of which anything outside the
+// process has seen; a record torn mid-write becomes a clean torn tail that
+// the next incarnation trims (store and sink alike) and the auditor skips.
 #pragma once
 
 #include <csignal>
@@ -114,8 +123,12 @@ class Daemon {
   /// Opens the column for `a` (group 0: the unsharded node). A nonzero
   /// `handoff_next` records HANDOFF(next) after the recovering runtime's
   /// CRASH: the column adopted a migration donor's journals.
+  /// `store` is the journal object over the column's directory when the
+  /// caller already holds one (a migration episode ran on it); exactly one
+  /// object may own a journal file, so it is handed over, never reopened.
   Column& open_column(const shard::ShardAssignment& a,
-                      std::uint64_t handoff_next);
+                      std::uint64_t handoff_next,
+                      std::unique_ptr<storage::FileStableStore> store = {});
   [[nodiscard]] std::string column_wal_dir(std::uint32_t group) const;
   void apply_pool_view(const View& view);
   void start_join(std::uint32_t group, ProcessId slot, ProcessId donor,
@@ -126,6 +139,11 @@ class Daemon {
   void teardown_column(std::uint32_t group);
   void persist_assignments();
   [[nodiscard]] Column* column_for(std::uint32_t group);
+  /// Writes every column's journal, then the pool's, then every trace
+  /// sink: one write() each, and none when nothing is pending. Column
+  /// journals go first because the pool's assignment row may only claim a
+  /// column whose journals are on disk.
+  void sync_outputs();
   void handle_control();
   [[nodiscard]] std::string execute(const std::string& command);
   [[nodiscard]] std::uint64_t elapsed_us() const;

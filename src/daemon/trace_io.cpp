@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <type_traits>
 
@@ -217,8 +219,9 @@ TraceSink::TraceSink(std::string path, const TraceMeta& meta)
       trimmed_ = true;
     }
   }
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) throw std::runtime_error("trace: cannot append to " + path_);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+               0644);
+  if (fd_ < 0) throw std::runtime_error("trace: cannot append to " + path_);
   const TraceMeta m = meta;
   append(kTraceMeta, [&m](Writer& w) {
     w.u64(m.ts_us);
@@ -231,28 +234,51 @@ TraceSink::TraceSink(std::string path, const TraceMeta& meta)
   });
 }
 
-void TraceSink::close() {
-  if (!out_.is_open()) return;
-  out_.flush();
-  out_.close();
-  // std::ofstream exposes no descriptor; reopen read-only purely to fsync
-  // the data out of the page cache before the slot's new host takes over.
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    (void)::close(fd);
+TraceSink::~TraceSink() {
+  if (fd_ < 0) return;
+  try {
+    sync();
+  } catch (const std::runtime_error&) {
+    // A destructor has no one to report to; the records are lost exactly as
+    // a crash here would lose them.
   }
+  ::close(fd_);
+}
+
+void TraceSink::sync() {
+  if (fd_ < 0 || pending_.empty()) return;
+  const std::byte* p = pending_.data();
+  std::size_t left = pending_.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd_, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw std::runtime_error("trace: write failed on " + path_);
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  pending_.clear();
+}
+
+void TraceSink::close() {
+  if (fd_ < 0) return;
+  sync();
+  // The fsync makes the handed-off trace durable before the slot's new host
+  // writes its own incarnation of the history.
+  (void)::fsync(fd_);
+  (void)::close(fd_);
+  fd_ = -1;
 }
 
 void TraceSink::append(std::uint8_t type,
                        const std::function<void(Writer&)>& encode) {
-  if (!out_.is_open()) return;
-  const Bytes frame = storage::Wal::frame(type, encode);
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
-  // Hand the record to the kernel now: the page cache survives SIGKILL, so
-  // an acknowledged record can only be lost with the whole machine.
-  out_.flush();
+  if (fd_ < 0) return;
+  payload_.clear();
+  encode(payload_);
+  // Buffered until the next sync(): the daemon syncs before anything of
+  // this wake leaves the process, so no observer can see an effect whose
+  // record is still in memory.
+  storage::append_frame(pending_, type, payload_.buffer().data(),
+                        payload_.size());
   ++records_;
 }
 

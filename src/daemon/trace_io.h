@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -62,17 +62,26 @@ void encode_event(Writer& w, const spec::ToEvent& event);
 [[nodiscard]] spec::DvsEvent decode_dvs_event(Reader& r);
 [[nodiscard]] spec::ToEvent decode_to_event(Reader& r);
 
-/// Append-side: one sink per dvsd process.
+/// Append-side: one sink per dvsd column.
 ///
 /// Opening truncates any torn tail a SIGKILLed predecessor left (clean
-/// WAL prefix), then appends a fresh META record. Every record is written
-/// and flushed to the kernel immediately — SIGKILL cannot lose acknowledged
-/// records (page cache survives the process; only machine crashes can, and
-/// the auditor's per-file clean-prefix rule absorbs that too).
+/// WAL prefix), then appends a fresh META record. Records collect in a
+/// buffer that sync() hands to the kernel with one write; dvsd syncs once
+/// per event-loop wake, before any datagram or control reply of that wake
+/// leaves the process, so nothing an outside observer can see precedes its
+/// trace record. SIGKILL loses at most the records of the wake in progress,
+/// none of which anything outside the process has acted on (the page cache
+/// survives the process; only machine crashes can lose more, and the
+/// auditor's per-file clean-prefix rule absorbs that too).
 class TraceSink {
  public:
   /// Throws std::runtime_error if the file cannot be opened.
   TraceSink(std::string path, const TraceMeta& meta);
+  /// Syncs and closes (without fsync; see close()).
+  ~TraceSink();
+
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
 
   void record(std::uint64_t ts_us, const spec::VsEvent& event);
   void record(std::uint64_t ts_us, const spec::DvsEvent& event);
@@ -81,7 +90,10 @@ class TraceSink {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t records_written() const { return records_; }
 
-  /// Flushes, fsyncs and closes the file. Idempotent; further record()
+  /// Writes every buffered record with one write(). Throws on I/O errors.
+  void sync();
+
+  /// Syncs, fsyncs and closes the file. Idempotent; further record()
   /// calls are silently dropped. Column teardown during dynamic
   /// re-provisioning MUST call this — holding the descriptor open leaks one
   /// fd per migrated column for the life of the daemon, and the handed-off
@@ -104,7 +116,9 @@ class TraceSink {
   void append(std::uint8_t type, const std::function<void(Writer&)>& encode);
 
   std::string path_;
-  std::ofstream out_;
+  int fd_ = -1;
+  Writer payload_;  // reused record encoder
+  Bytes pending_;   // framed records not yet written
   std::uint64_t records_ = 0;
   bool trimmed_ = false;
 };

@@ -58,7 +58,7 @@ struct NetStats {
   std::uint64_t wire_bytes = 0;
   /// Batching: multi-frame BATCH envelopes put on the wire and the logical
   /// frames carried inside them (single-frame flushes travel as the raw
-  /// frame and count in neither), flushes forced by the count/byte caps,
+  /// frame and count in neither), batches closed by the count/byte caps,
   /// and damaged envelopes the receiver had to salvage frame-by-frame.
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;

@@ -123,19 +123,26 @@ void UdpTransport::send(ProcessId from, ProcessId to, const Bytes& payload) {
   batch.bytes += payload.size();
   if (batch.frames.size() >= config_.batch_max_msgs ||
       batch.bytes >= config_.batch_max_bytes) {
+    // Close the batch, but leave it for flush(): the owner writes its
+    // journal between the protocol step and flush(), and no datagram may
+    // leave ahead of the records it depends on.
     ++stats_.batch_cap_flushes;
-    transmit(to, batch.frames, batch.bytes);
-    batch.frames.clear();
-    batch.bytes = 0;
+    closed_.emplace_back(to, std::move(batch));
+    batch = PendingBatch{};
   }
 }
 
 void UdpTransport::flush() {
-  if (dirty_.empty()) return;
-  bool wrote = false;
-  // Index loop: transmit never appends to dirty_.
-  for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    auto it = pending_.find(dirty_[i]);
+  if (closed_.empty() && dirty_.empty()) return;
+  // Closed batches first, in the order they filled, then the open ones in
+  // first-send order: per destination, datagrams leave in send order.
+  for (const auto& [to, batch] : closed_) {
+    transmit(to, batch.frames, batch.bytes);
+  }
+  bool wrote = !closed_.empty();
+  closed_.clear();
+  for (const ProcessId to : dirty_) {
+    auto it = pending_.find(to);
     if (it == pending_.end() || it->second.frames.empty()) continue;
     transmit(it->first, it->second.frames, it->second.bytes);
     it->second.frames.clear();

@@ -30,6 +30,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -140,7 +142,10 @@ class UdpTransport : public Transport {
 
   /// Writes every pending batch to the socket. Call once per loop
   /// iteration after the protocol layers ran (mirrors the simulator's
-  /// end-of-instant sweep).
+  /// end-of-instant sweep). With batching on this is the only place a
+  /// datagram leaves: a batch that reaches its cap inside send() is closed
+  /// and waits here, so an owner that journals before flush() never sends
+  /// ahead of its own records.
   void flush();
 
   /// Convenience loop step: flush pending sends, epoll-wait up to
@@ -179,6 +184,9 @@ class UdpTransport : public Transport {
   int epoll_fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::map<ProcessId, PendingBatch> pending_;
+  /// Batches that reached a cap since the last flush(), in the order they
+  /// filled; they leave with the next flush(), never from send().
+  std::vector<std::pair<ProcessId, PendingBatch>> closed_;
   // Flush order = first-send order, so runs stay deterministic given a
   // deterministic upper layer.
   std::vector<ProcessId> dirty_;

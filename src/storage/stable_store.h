@@ -10,16 +10,21 @@
 //     simulated machine's "disk" lives beside the simulated machine; chaos
 //     sweeps stay byte-identical across --jobs because nothing here touches
 //     the host OS.
-//   * FileStableStore (file_store.h) — a directory of real files, for
-//     benches and manual experiments.
+//   * FileStableStore (file_store.h) — one journal file per directory, for
+//     dvsd and benches.
 //
 // Keys are flat strings (by convention "p<process>/<layer>", e.g. "p2/dvs").
 // Each key holds one append-only byte log; `replace` rewrites a key
-// wholesale (snapshot compaction). Durability granularity is the append:
-// every append/replace is a persistence barrier — after it returns, a crash
-// loses nothing of that write. The crash-point sweep (tests/sys/
-// test_crash_points.cpp) enumerates exactly these barriers via the
-// barrier hook.
+// wholesale (snapshot compaction).
+//
+// Where the persistence barrier sits depends on the store. In
+// MemStableStore every append/replace is one: the simulated disk holds the
+// write the moment the call returns, and the crash-point sweep (tests/sys/
+// test_crash_points.cpp) enumerates exactly these barriers via the barrier
+// hook. FileStableStore buffers records until sync(); in dvsd the barrier
+// is the one write per event-loop wake that precedes every datagram and
+// control reply of that wake, so a crash loses only records that nothing
+// outside the process has acted on.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +56,13 @@ class StableStore {
  public:
   virtual ~StableStore() = default;
 
-  /// Appends `data` to the log at `key` (creating it if absent). A
-  /// persistence barrier: returns only after the bytes are durable.
+  /// Appends `data` to the log at `key` (creating it if absent). Durable
+  /// on return in MemStableStore; at the owner's next sync() in
+  /// FileStableStore.
   void append(const std::string& key, const Bytes& data);
 
   /// Replaces the entire contents of `key` with `data` (snapshot
-  /// compaction). Also a persistence barrier.
+  /// compaction). Same durability as append().
   void replace(const std::string& key, const Bytes& data);
 
   /// Full current contents of `key`; nullopt if the key was never written.
@@ -66,7 +72,8 @@ class StableStore {
 
   /// Invoked after every completed append/replace with the key written.
   /// Test instrumentation: the crash-point sweep records (sim-time, key)
-  /// pairs here to enumerate every persistence barrier of a run.
+  /// pairs here to enumerate every persistence barrier of a run, and the
+  /// dvsd write-before-send test marks every record issued.
   void set_barrier_hook(std::function<void(const std::string& key)> hook) {
     barrier_hook_ = std::move(hook);
   }

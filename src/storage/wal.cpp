@@ -32,17 +32,32 @@ std::uint32_t crc32(const std::byte* data, std::size_t size) {
 
 std::uint32_t crc32(const Bytes& data) { return crc32(data.data(), data.size()); }
 
+void append_frame(Bytes& out, std::uint8_t type, const std::byte* payload,
+                  std::size_t size) {
+  const std::size_t start = out.size();
+  out.push_back(static_cast<std::byte>(kWalMagic));
+  out.push_back(static_cast<std::byte>(type));
+  for (std::uint64_t v = size;; v >>= 7) {
+    if (v < 0x80) {
+      out.push_back(static_cast<std::byte>(v));
+      break;
+    }
+    out.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
+  }
+  out.insert(out.end(), payload, payload + size);
+  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::byte>(crc >> (8 * i)));
+  }
+}
+
 Bytes Wal::frame(std::uint8_t type,
                  const std::function<void(Writer&)>& encode) {
   Writer payload;
   encode(payload);
-  Writer record;
-  record.u8(kWalMagic);
-  record.u8(type);
-  record.bytes_field(payload.buffer());
-  const std::uint32_t crc = crc32(record.buffer());
-  record.u32(crc);
-  return record.take();
+  Bytes record;
+  append_frame(record, type, payload.buffer().data(), payload.size());
+  return record;
 }
 
 void Wal::append(std::uint8_t type,

@@ -39,6 +39,11 @@ namespace dvs::storage {
 /// First byte of every record.
 inline constexpr std::uint8_t kWalMagic = 0xD5;
 
+/// Appends one framed record carrying `payload` to `out` (no allocation
+/// beyond `out`'s own growth).
+void append_frame(Bytes& out, std::uint8_t type, const std::byte* payload,
+                  std::size_t size);
+
 /// Appender for one log (one StableStore key).
 class Wal {
  public:

@@ -18,13 +18,19 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dvsys/dvs_node.h"
 #include "dvsys/exchange_node.h"
+#include "common/rng.h"
 #include "storage/file_store.h"
 #include "storage/stable_store.h"
 #include "storage/wal.h"
@@ -272,6 +278,285 @@ TEST(StableStoreTest, FileStoreRoundTripAndReopen) {
     EXPECT_EQ(store.load("p0/dvs"), std::nullopt);
   }
   std::filesystem::remove_all(root);
+}
+
+// ----- the one-file journal (FileStableStore) -------------------------------
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const fs::path root = fs::path(::testing::TempDir()) / name;
+  fs::remove_all(root);
+  return root.string();
+}
+
+Bytes text(const std::string& s) {
+  Bytes out;
+  for (const char c : s) out.push_back(static_cast<std::byte>(c));
+  return out;
+}
+
+Bytes slurp_file(const std::string& path) {
+  Bytes out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    out.push_back(static_cast<std::byte>(c));
+  }
+  std::fclose(f);
+  return out;
+}
+
+void spit_file(const std::string& path, const Bytes& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  std::fclose(f);
+}
+
+/// What a store holds, key by key (an absent key has no entry).
+using KeyState = std::map<std::string, Bytes>;
+
+const std::vector<std::string> kJournalKeys = {"p0/vs", "p0/dvs", "p0/to"};
+
+KeyState state_of(const StableStore& store) {
+  KeyState out;
+  for (const std::string& k : kJournalKeys) {
+    if (std::optional<Bytes> v = store.load(k); v.has_value()) out[k] = *v;
+  }
+  return out;
+}
+
+/// One scripted operation: append or replace `data` at `key`, then maybe
+/// sync (a wake boundary).
+struct ScriptOp {
+  std::string key;
+  bool replace = false;
+  std::string data;
+  bool sync = false;
+};
+
+/// Appends and replaces interleaved over three keys. Runs of appends to one
+/// key inside a wake merge into one record; replaces land mid-run too.
+std::vector<ScriptOp> journal_script() {
+  return {
+      {"p0/vs", true, "V0", false},    {"p0/dvs", true, "D0", false},
+      {"p0/to", true, "T0", true},     {"p0/to", false, "a1", false},
+      {"p0/to", false, "a2", false},   {"p0/dvs", false, "d1", true},
+      {"p0/to", false, "a3", true},    {"p0/vs", false, "v1", false},
+      {"p0/to", false, "a4", false},   {"p0/to", true, "T5", false},
+      {"p0/to", false, "a6", true},    {"p0/dvs", true, "", true},
+      {"p0/vs", false, "v2", false},   {"p0/dvs", false, "d2", false},
+      {"p0/to", false, "a7", true},
+  };
+}
+
+/// The state after each program-order prefix of the script (0..N ops).
+std::vector<KeyState> prefix_states(const std::vector<ScriptOp>& script) {
+  std::vector<KeyState> out{KeyState{}};
+  KeyState cur;
+  for (const ScriptOp& op : script) {
+    Bytes& v = cur[op.key];
+    if (op.replace) v.clear();
+    const Bytes d = text(op.data);
+    v.insert(v.end(), d.begin(), d.end());
+    out.push_back(cur);
+  }
+  return out;
+}
+
+/// Runs the script through a FileStableStore at `root`; returns the file.
+Bytes write_script(const std::string& root, const std::vector<ScriptOp>& ops) {
+  FileStableStore store(root);
+  for (const ScriptOp& op : ops) {
+    if (op.replace) {
+      store.replace(op.key, text(op.data));
+    } else {
+      store.append(op.key, text(op.data));
+    }
+    if (op.sync) store.sync();
+  }
+  EXPECT_EQ(store.rewrites(), 0u) << "the script must not trigger a reclaim";
+  store.sync();
+  return slurp_file(store.journal_path());
+}
+
+/// Reopens a damaged journal and checks the crash-prefix contract: every
+/// key holds what one common program-order prefix left it, and a record
+/// appended by the next incarnation is visible to the one after that.
+void expect_prefix_then_append(const std::string& root,
+                               const std::vector<KeyState>& prefixes,
+                               const std::string& where) {
+  KeyState recovered;
+  {
+    FileStableStore store(root);
+    recovered = state_of(store);
+    store.append("p0/to", text("new"));
+  }
+  ASSERT_NE(std::find(prefixes.begin(), prefixes.end(), recovered),
+            prefixes.end())
+      << where << ": recovered state is no program-order prefix";
+  KeyState want = recovered;
+  const Bytes marker = text("new");
+  want["p0/to"].insert(want["p0/to"].end(), marker.begin(), marker.end());
+  FileStableStore again(root);
+  ASSERT_EQ(state_of(again), want)
+      << where << ": a record appended after the crash was lost";
+}
+
+TEST(WalFuzzTest, JournalTruncatedAtEveryByteRecoversAProgramOrderPrefix) {
+  const std::string root = fresh_dir("dvs_journal_truncate");
+  const std::vector<ScriptOp> script = journal_script();
+  const std::vector<KeyState> prefixes = prefix_states(script);
+  const Bytes full = write_script(root, script);
+  const std::string path = root + "/" + FileStableStore::kJournalFile;
+  {
+    FileStableStore store(root);
+    EXPECT_EQ(state_of(store), prefixes.back());
+    EXPECT_FALSE(store.trimmed_torn_tail());
+  }
+  std::size_t trimmed = 0;
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    spit_file(path, Bytes(full.begin(),
+                          full.begin() + static_cast<std::ptrdiff_t>(len)));
+    {
+      FileStableStore probe(root);
+      if (probe.trimmed_torn_tail()) ++trimmed;
+      EXPECT_LE(probe.file_bytes(), len);
+    }
+    expect_prefix_then_append(root, prefixes, "len=" + std::to_string(len));
+  }
+  // Most cuts land mid-record; only record boundaries are clean.
+  EXPECT_GT(trimmed, full.size() / 2);
+  fs::remove_all(root);
+}
+
+TEST(WalFuzzTest, JournalBitFlipAnywhereRecoversAProgramOrderPrefix) {
+  const std::string root = fresh_dir("dvs_journal_flip");
+  const std::vector<ScriptOp> script = journal_script();
+  const std::vector<KeyState> prefixes = prefix_states(script);
+  const Bytes full = write_script(root, script);
+  const std::string path = root + "/" + FileStableStore::kJournalFile;
+  for (std::size_t pos = 0; pos < full.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes damaged = full;
+      damaged[pos] ^= static_cast<std::byte>(1u << bit);
+      spit_file(path, damaged);
+      expect_prefix_then_append(
+          root, prefixes,
+          "pos=" + std::to_string(pos) + " bit=" + std::to_string(bit));
+    }
+  }
+  fs::remove_all(root);
+}
+
+TEST(StableStoreTest, FileStoreBuffersUntilSyncInOneFile) {
+  const std::string root = fresh_dir("dvs_journal_buffer");
+  FileStableStore store(root);
+  Wal wal(store, "p0/to");
+  for (int i = 0; i < 100; ++i) wal.append(1, [i](Writer& w) { w.u64(i); });
+  store.replace("p0/vs", text("epoch"));
+  // Nothing reaches the file before sync(), yet load() sees every record.
+  EXPECT_EQ(store.file_bytes(), 0u);
+  EXPECT_EQ(fs::file_size(store.journal_path()), 0u);
+  EXPECT_EQ(read_wal(store, "p0/to").records.size(), 100u);
+  EXPECT_EQ(store.load("p0/vs"), text("epoch"));
+  const std::size_t data = store.load("p0/to")->size() + 5;
+  store.sync();
+  // One directory entry, and the 100 adjacent appends became one record:
+  // framing plus two key names cost well under a record per append.
+  std::size_t files = 0;
+  for (const auto& e : fs::directory_iterator(root)) {
+    (void)e;
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  EXPECT_EQ(fs::file_size(store.journal_path()), store.file_bytes());
+  EXPECT_LT(store.file_bytes(), data + 48);
+  // Per-wake appends each cost one small record: the key is named once.
+  const std::uint64_t before = store.file_bytes();
+  for (int i = 0; i < 50; ++i) {
+    store.append("p0/to", text("x"));
+    store.sync();
+  }
+  EXPECT_LE(store.file_bytes() - before, 50u * 9);
+  store.sync();  // nothing pending: no write
+  EXPECT_EQ(fs::file_size(store.journal_path()), store.file_bytes());
+  fs::remove_all(root);
+}
+
+TEST(StableStoreTest, FileStoreReclaimsOnlyInASyncThatCarriesAReplace) {
+  const std::string root = fresh_dir("dvs_journal_reclaim");
+  KeyState model;
+  {
+    FileStableStore store(root);
+    // A stable view: appends only. The file only grows; nothing is dead.
+    for (int i = 0; i < 200; ++i) {
+      const std::string& k = kJournalKeys[static_cast<std::size_t>(i) % 3];
+      const Bytes d = text("append-" + std::to_string(i));
+      store.append(k, d);
+      model[k].insert(model[k].end(), d.begin(), d.end());
+      if (i % 7 == 0) store.sync();
+    }
+    store.sync();
+    EXPECT_EQ(store.rewrites(), 0u);
+    EXPECT_EQ(store.file_bytes(), store.live_bytes());
+    // Replaces make history dead; the sync that carries one reclaims once
+    // dead bytes exceed live bytes, and never leaves more dead than live.
+    Rng rng(7);
+    bool replaced = false;  // the pending records include a replace
+    for (int i = 0; i < 300; ++i) {
+      const std::string& k = kJournalKeys[rng.below(3)];
+      const Bytes d = text(std::string(1 + rng.below(40), 'r'));
+      if (rng.chance(0.2)) {
+        store.replace(k, d);
+        model[k] = d;
+        replaced = true;
+      } else {
+        store.append(k, d);
+        model[k].insert(model[k].end(), d.begin(), d.end());
+      }
+      EXPECT_EQ(state_of(store), model) << "op " << i;
+      if (!rng.chance(0.3)) continue;
+      const std::uint64_t rewrites = store.rewrites();
+      const std::uint64_t dead = store.file_bytes() - store.live_bytes();
+      store.sync();
+      const std::uint64_t dead_now = store.file_bytes() - store.live_bytes();
+      if (replaced) {
+        EXPECT_LE(dead_now, store.live_bytes()) << "op " << i;
+      } else {
+        // Appends alone never rewrite and never make anything dead.
+        EXPECT_EQ(store.rewrites(), rewrites) << "op " << i;
+        EXPECT_EQ(dead_now, dead) << "op " << i;
+      }
+      replaced = false;
+    }
+    store.sync();
+    EXPECT_GT(store.rewrites(), 0u);
+    EXPECT_EQ(fs::file_size(store.journal_path()), store.file_bytes());
+  }
+  FileStableStore reopened(root);
+  EXPECT_EQ(state_of(reopened), model);
+  EXPECT_FALSE(reopened.trimmed_torn_tail());
+  fs::remove_all(root);
+}
+
+TEST(StableStoreTest, FileStoreRefusesTheOlderPerKeyLayout) {
+  const std::string root = fresh_dir("dvs_journal_old_layout");
+  fs::create_directories(root);
+  spit_file(root + "/p0_dvs_.wal", Wal::frame(1, [](Writer& w) { w.u64(1); }));
+  try {
+    FileStableStore store(root);
+    ADD_FAILURE() << "a per-key *_.wal directory was opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(root), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("p0_dvs_.wal"), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(root);
 }
 
 TEST(StableStoreTest, WalCompactionResetsGrowth) {
